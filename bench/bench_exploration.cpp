@@ -170,69 +170,6 @@ void print_dse(hlsw::bench::Harness& h) {
                 pick->name.c_str(), pick->latency_cycles, pick->area);
 }
 
-// Feasibility pruning on/off at both sweep widths, on the redirect-heavy
-// axes (tight clock, unrolled MAC loops, a dense pipeline-II axis): the
-// matrix EXPERIMENTS.md discusses. Pruning never changes the front; the
-// candidate analysis costs a fraction of the schedules it stands beside,
-// and redirects collapse below-floor II requests onto their clamped twins.
-void print_prune(hlsw::bench::Harness& h) {
-  const auto ir = qam::build_qam_decoder_ir();
-  const auto tech = TechLibrary::asic90();
-  hls::DseOptions base;
-  base.clock_period_ns = 3.0;
-  base.unroll_factors = {1, 2, 4, 8, 16};
-  base.pipeline_iis = {0, 1, 2, 3};
-  base.threads = 1;
-
-  std::printf("-- feasibility pruning (clock 3.0 ns, unroll x{1,2,4,8,16}, "
-              "II {0,1,2,3}) --\n");
-  std::printf("%5s %6s | %5s %9s %6s %5s %6s | %9s\n", "cap", "prune",
-              "rows", "schedules", "redir", "dom", "front", "min ms");
-  obs::Json legs = obs::Json::array();
-  double wall[2][2] = {};
-  std::size_t fronts[2][2] = {};
-  for (const int cap : {256, 1024}) {
-    for (const bool prune : {false, true}) {
-      hls::DseOptions opts = base;
-      opts.max_configs = cap;
-      opts.prune = prune;
-      hls::DseResult r;
-      char label[64];
-      std::snprintf(label, sizeof label, "dse_prune_%d_%s", cap,
-                    prune ? "on" : "off");
-      const auto t = h.measure(label, [&] {
-        opts.cache = std::make_shared<hls::SynthesisCache>();  // cold
-        r = hls::explore(ir, opts, tech);
-      });
-      const auto front = r.pareto_front();
-      std::printf("%5d %6s | %5zu %9zu %6zu %5zu %6zu | %9.3f\n", cap,
-                  prune ? "on" : "off", r.points.size(), r.cache_misses,
-                  r.pruned_infeasible, r.pruned_dominated, front.size(),
-                  t.min_ms);
-      wall[cap == 1024][prune] = t.min_ms;
-      fronts[cap == 1024][prune] = front.size();
-      legs.push(obs::Json::object()
-                    .set("cap", static_cast<long long>(cap))
-                    .set("prune", prune)
-                    .set("rows", static_cast<long long>(r.points.size()))
-                    .set("schedules", static_cast<long long>(r.cache_misses))
-                    .set("pruned_infeasible",
-                         static_cast<long long>(r.pruned_infeasible))
-                    .set("pruned_dominated",
-                         static_cast<long long>(r.pruned_dominated))
-                    .set("front", static_cast<long long>(front.size()))
-                    .set("min_ms", t.min_ms));
-    }
-  }
-  std::printf("pruned full-width sweep vs unpruned: %.2fx wall at cap 1024, "
-              "identical fronts: %s\n\n",
-              wall[1][1] / wall[1][0],
-              fronts[0][0] == fronts[0][1] && fronts[1][0] == fronts[1][1]
-                  ? "yes"
-                  : "NO -- BUG");
-  h.note("prune", std::move(legs));
-}
-
 void BM_FullExploration(benchmark::State& state) {
   const auto archs = qam::exploration_architectures();
   const auto tech = TechLibrary::asic90();
@@ -300,7 +237,6 @@ int main(int argc, char** argv) {
   hlsw::bench::Harness harness("exploration", &argc, argv);
   print_exploration(harness);
   print_dse(harness);
-  print_prune(harness);
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();
   harness.write();

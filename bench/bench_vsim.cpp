@@ -77,7 +77,7 @@ void run_harness_sections(bench::Harness* h) {
     for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
   });
   vsim::SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = vsim::Backend::kEvent;
   const auto t_vsim_event = h->measure("vsim_harness_100_symbols_event", [&] {
     vsim::DutHarness dut(r.transformed, design, event_cfg);
     for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));

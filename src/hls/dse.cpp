@@ -7,7 +7,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "hls/feasibility.h"
 #include "obs/metrics.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -25,7 +24,7 @@ struct Candidate {
   std::string name;
   Directives dir;
   std::string key;
-  // True when this explore() call already planned the same original
+  // True when this explore() call already planned the same
   // configuration (the refinement phase re-deriving a sweep point): it is
   // counted as a cache hit and produces no duplicate row.
   bool revisit = false;
@@ -60,13 +59,6 @@ SynthesisCache::Metrics measure_traced(const Candidate& c, const Function& f,
 // when pool is null — the legacy serial path), collection in candidate
 // order again. The three orders being caller-side is what makes the
 // parallel result bit-identical to the serial one.
-//
-// Feasibility redirects can put the same canonical key in one batch more
-// than once (two original configurations clamping to one form): the first
-// occurrence is accounted against the cache, later ones are hits by
-// construction — the check never consults the cache for a key a worker
-// may be inserting concurrently, keeping the counters deterministic.
-// SynthesisCache::get_or_compute already computes each key exactly once.
 void run_batch(const std::vector<Candidate>& cands, const Function& f,
                const TechLibrary& tech, SynthesisCache& cache,
                util::ThreadPool* pool, std::size_t planned_total,
@@ -84,7 +76,6 @@ void run_batch(const std::vector<Candidate>& cands, const Function& f,
   };
   std::vector<Pending> pending;
   pending.reserve(cands.size());
-  std::set<std::string> batch_keys;
   for (const auto& c : cands) {
     if (c.revisit) {  // already planned earlier in this call
       ++out->cache_hits;
@@ -97,8 +88,7 @@ void run_batch(const std::vector<Candidate>& cands, const Function& f,
             obs::Json::object().set("hit", true).set("revisit", true));
       continue;
     }
-    const bool hit = batch_keys.count(c.key) > 0 || cache.contains(c.key);
-    batch_keys.insert(c.key);
+    const bool hit = cache.contains(c.key);
     if (hit)
       ++out->cache_hits;
     else
@@ -147,8 +137,7 @@ void run_batch(const std::vector<Candidate>& cands, const Function& f,
     if (opts.progress)
       opts.progress(out->points.back(),
                     DseProgress{index, out->points.size(), planned_total,
-                                p.hit, wall_ms(), out->pruned_infeasible,
-                                out->pruned_dominated});
+                                p.hit, wall_ms()});
   }
 }
 
@@ -250,11 +239,11 @@ namespace {
 
 // Exploration-front canonicalization applied on top of mark_pareto: exact
 // (latency, area) ties carry no information the front needs — the II axis
-// and feasibility redirects deliberately produce metrics-identical rows
-// for distinct directive spellings — so only the first-enumerated point of
-// each tie group keeps the flag. First-by-index is deterministic and
-// stable across thread counts, cache warmth and prune modes (row order
-// never changes). mark_pareto itself stays a pure dominance predicate.
+// produces metrics-identical rows for distinct directive spellings — so
+// only the first-enumerated point of each tie group keeps the flag.
+// First-by-index is deterministic and stable across thread counts and
+// cache warmth (row order never changes). mark_pareto itself stays a pure
+// dominance predicate.
 void demote_metric_ties(std::vector<DsePoint>& points) {
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (!points[i].pareto) continue;
@@ -296,77 +285,26 @@ DseResult explore(const Function& f, const DseOptions& opts,
     pool = opts.pool ? opts.pool : std::make_shared<util::ThreadPool>(nthreads);
 
   const std::uint64_t fp = function_fingerprint(f);
-  std::set<std::string> seen;  // original (pre-redirect) keys planned
+  std::set<std::string> seen;  // keys planned so far in this call
   int planned = 0;             // rows planned (bounded by max_configs)
-  // Per-call memo for the feasibility analysis: candidates that differ
-  // only in requested IIs (the densest sweep axis) share one transform-
-  // shape entry, so a prune decision costs little more than a map lookup.
-  FeasibilityCache fcache;
 
-  // Already-resolved points the feasibility analysis may cite for
-  // domination. Rebuilt between batches (points only settle batch-wise),
-  // so every prune decision is made against fully-deterministic data on
-  // the calling thread.
-  std::vector<ResolvedPoint> resolved;
-  const auto snapshot_resolved = [&] {
-    resolved.clear();
-    resolved.reserve(out.points.size());
-    for (const auto& p : out.points)
-      resolved.push_back({p.latency_cycles, p.area});
-  };
-
-  // Appends a candidate unless pruning or the row cap rejects it.
-  // Revisits of an original configuration this call already planned
-  // bypass the cap (they cost no schedule and add no row). An infeasible
-  // candidate is redirected: it keeps its row and name but synthesizes
-  // under its clamped directives' canonical key, so metrics-identical
-  // twins collapse onto one schedule. A dominated candidate is skipped
-  // outright — it can never join the Pareto front, so dropping its row
-  // changes nothing the front reports.
+  // Appends a candidate unless the row cap rejects it. Revisits of a
+  // configuration this call already planned bypass the cap (they cost no
+  // schedule and add no row).
   const auto plan = [&](std::vector<Candidate>* batch, std::string name,
                         Directives dir) {
-    const std::string orig_key = dse_cache_key(fp, dir, tech);
-    if (seen.count(orig_key)) {
-      Candidate c;
+    std::string key = dse_cache_key(fp, dir, tech);
+    Candidate c;
+    c.name = std::move(name);
+    if (seen.count(key)) {
       c.revisit = true;
-      c.name = std::move(name);
       batch->push_back(std::move(c));
       return;
     }
-    if (opts.prune) {
-      const FeasibilityVerdict fv =
-          check_feasibility(f, dir, tech, resolved, &fcache);
-      if (fv.status == FeasibilityStatus::kBounded) {
-        ++out.pruned_dominated;
-        std::ostringstream os;
-        os << "bounds (latency >= " << fv.bounds.min_latency_cycles
-           << ", area >= " << fv.bounds.min_area << ") dominated by '"
-           << out.points[static_cast<size_t>(fv.dominated_by)].name << "'";
-        if (obs::enabled())
-          obs::TraceSession::instance().instant(
-              name, "dse.prune",
-              obs::Json::object().set("kind", "dominated").set("row", false));
-        out.pruned.push_back({std::move(name), "dominated", os.str()});
-        return;
-      }
-      if (fv.status == FeasibilityStatus::kInfeasible) {
-        ++out.pruned_infeasible;
-        if (obs::enabled())
-          obs::TraceSession::instance().instant(
-              name, "dse.prune",
-              obs::Json::object()
-                  .set("kind", to_string(fv.kind))
-                  .set("row", true));
-        out.pruned.push_back({name, to_string(fv.kind), fv.reason});
-        dir = fv.clamped;  // metrics-identical; the row and name survive
-      }
-    }
     if (planned >= opts.max_configs) return;
     ++planned;
-    seen.insert(orig_key);
-    Candidate c;
-    c.key = dse_cache_key(fp, dir, tech);
-    c.name = std::move(name);
+    seen.insert(key);
+    c.key = std::move(key);
     c.dir = std::move(dir);
     batch->push_back(std::move(c));
   };
@@ -424,7 +362,6 @@ DseResult explore(const Function& f, const DseOptions& opts,
   std::vector<char> refined;
   for (int round = 0; round < 64; ++round) {
     refined.resize(out.points.size(), 0);
-    snapshot_resolved();
     const std::size_t rows_before = out.points.size();
     std::vector<Candidate> refine;
     for (std::size_t i = 0; i < rows_before; ++i) {
@@ -483,15 +420,11 @@ DseResult explore(const Function& f, const DseOptions& opts,
     span.arg("points", out.points.size());
     span.arg("cache_hits", out.cache_hits);
     span.arg("cache_misses", out.cache_misses);
-    span.arg("pruned_infeasible", out.pruned_infeasible);
-    span.arg("pruned_dominated", out.pruned_dominated);
     auto& m = obs::MetricsRegistry::instance();
     m.add("dse.explores");
     m.add("dse.points", static_cast<double>(out.points.size()));
     m.add("dse.cache_hits", static_cast<double>(out.cache_hits));
     m.add("dse.cache_misses", static_cast<double>(out.cache_misses));
-    m.add("dse.prune.infeasible", static_cast<double>(out.pruned_infeasible));
-    m.add("dse.prune.dominated", static_cast<double>(out.pruned_dominated));
   }
   if (!opts.report_path.empty())
     obs::StructuredReport::write_json_file(opts.report_path,
@@ -505,15 +438,13 @@ obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
   seed_hex << "0x" << std::hex << r.seed;
   obs::Json doc = obs::Json::object()
                       .set("tool", "hlsw.dse")
-                      .set("schema_version", 2)
+                      .set("schema_version", 3)
                       .set("wall_ms", wall_ms)
                       .set("clock_period_ns", opts.clock_period_ns)
                       .set("threads", opts.threads)
                       .set("max_configs", opts.max_configs)
                       .set("cache_hits", r.cache_hits)
                       .set("cache_misses", r.cache_misses)
-                      .set("pruned_infeasible", r.pruned_infeasible)
-                      .set("pruned_dominated", r.pruned_dominated)
                       .set("scheduled", r.scheduled)
                       .set("seed", seed_hex.str());
   obs::Json points = obs::Json::array();
@@ -525,13 +456,6 @@ obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                     .set("area", p.area)
                     .set("pareto", p.pareto));
   doc.set("points", std::move(points));
-  obs::Json pruned = obs::Json::array();
-  for (const auto& p : r.pruned)
-    pruned.push(obs::Json::object()
-                    .set("name", p.name)
-                    .set("kind", p.kind)
-                    .set("reason", p.reason));
-  doc.set("pruned", std::move(pruned));
   obs::Json front = obs::Json::array();
   for (const DsePoint* p : r.pareto_front()) front.push(p->name);
   doc.set("pareto_front", std::move(front));

@@ -54,11 +54,6 @@ struct DseProgress {
   std::size_t planned = 0;  // configurations planned so far (grows per phase)
   bool from_cache = false;  // this point came from the memoization cache
   double wall_ms = 0;       // elapsed wall time since explore() started
-  // Cumulative prune counters at the time this point resolved (see the
-  // DseResult fields of the same names). Prune decisions happen during
-  // enumeration on the calling thread, so these are deterministic too.
-  std::size_t pruned_infeasible = 0;
-  std::size_t pruned_dominated = 0;
 };
 
 struct DseOptions {
@@ -75,19 +70,9 @@ struct DseOptions {
   // Explore with and without auto-merging. At least one must be true.
   bool try_merge = true;
   bool try_no_merge = true;
-  // Static feasibility pruning (hls/feasibility.h): candidates whose
-  // directives provably synthesize identically to an already-planned
-  // canonical form are redirected to it (served from the cache, no extra
-  // schedule), and candidates provably dominated by an already-resolved
-  // point are skipped outright. Pruning never changes the Pareto front —
-  // the soundness oracle in tests/hls/feasibility_test.cpp enforces this —
-  // it only removes redundant scheduler work. Off = schedule everything.
-  bool prune = true;
   // Cap on the number of synthesized configurations (the sweep is
   // exponential in principle; we sweep a common factor across all loops
-  // plus per-loop refinements of the best points). Raised from the
-  // historical 256 now that feasibility pruning makes the II axis and
-  // deeper refinement nearly free (see bench_exploration's prune legs).
+  // plus per-loop refinements of the best points).
   int max_configs = 1024;
   // Worker threads for the synthesis batch. 0 = hardware concurrency;
   // 1 = legacy serial path (no pool is created). Any value produces
@@ -122,32 +107,19 @@ struct DseOptions {
   std::string report_path;
 };
 
-// One prune decision made during enumeration (DseResult::pruned). A
-// "dominated" record is a candidate skipped outright (it has no DsePoint
-// row); every other kind is an infeasible candidate redirected to its
-// metrics-equivalent clamped form (its row exists under the same name and
-// usually resolves as a cache hit).
-struct DsePruned {
-  std::string name;
-  std::string kind;    // to_string(InfeasibleKind) or "dominated"
-  std::string reason;  // human-readable explanation
-};
-
 struct DseResult {
   std::vector<DsePoint> points;  // every synthesized configuration
   // Memoization counters: hits = configurations served without a schedule
   // (refinement revisits + warm-cache lookups), misses = schedules run.
   std::size_t cache_hits = 0;
   std::size_t cache_misses = 0;
-  // Feasibility-prune counters (hls/feasibility.h). pruned_infeasible =
-  // candidates redirected to a clamped canonical form (row kept, schedule
-  // usually saved); pruned_dominated = candidates skipped because a
-  // resolved point provably dominates their metric lower bounds (no row);
-  // scheduled = candidate rows actually evaluated (== points.size()).
+  // Candidate rows evaluated (== points.size()).
+  std::size_t scheduled = 0;
+  // Always 0: explore() no longer prunes, so no candidate is redirected or
+  // skipped. Kept only because the perfbench explore_cold workload still
+  // reads them; remove them with the next change to perfbench/.
   std::size_t pruned_infeasible = 0;
   std::size_t pruned_dominated = 0;
-  std::size_t scheduled = 0;
-  std::vector<DsePruned> pruned;  // one record per prune decision
   // Tie-break seed the points were ranked with (copied from DseOptions).
   std::uint64_t seed = 0x9e3779b97f4a7c15ull;
 
@@ -163,8 +135,9 @@ struct DseResult {
 // in (latency_cycles, area). Pure dominance predicate — exact-tie groups
 // all keep the flag here; explore() additionally demotes all but the
 // first-enumerated member of each tie group in its result (the II axis
-// and feasibility redirects produce metrics-identical rows for distinct
-// directive spellings). Exposed for property tests and custom sweeps.
+// produces metrics-identical rows for distinct directive spellings, e.g. a
+// requested II below the recurrence floor). Exposed for property tests and
+// custom sweeps.
 void mark_pareto(std::vector<DsePoint>& points);
 
 // Throws std::invalid_argument on degenerate options: max_configs <= 0,
@@ -174,14 +147,14 @@ DseResult explore(const Function& f, const DseOptions& opts,
                   const TechLibrary& tech);
 
 // The dse_run.json document explore() writes for DseOptions::report_path:
-// {"tool":"hlsw.dse", "schema_version":2, "wall_ms":..., "threads":...,
-//  "cache_hits":..., "cache_misses":..., "seed":"0x...",
-//  "pruned_infeasible":..., "pruned_dominated":..., "scheduled":...,
+// {"tool":"hlsw.dse", "schema_version":3, "wall_ms":..., "threads":...,
+//  "cache_hits":..., "cache_misses":..., "scheduled":..., "seed":"0x...",
 //  "points":[{"name","latency_cycles","latency_ns","area","pareto"}...],
-//  "pruned":[{"name","kind","reason"}...], "pareto_front":["name"...]}.
-// Schema history: v2 added the three prune counters and the "pruned"
-// array (PR 6); v1 had neither. Exposed so tools and tests can build the
-// same artifact from an in-memory result.
+//  "pareto_front":["name"...]}.
+// Schema history: v3 dropped the two prune counters and the "pruned"
+// array when explore() stopped pruning; v2 had them plus "scheduled"; v1
+// had none of the three. Exposed so tools and tests can build the same
+// artifact from an in-memory result.
 obs::Json dse_run_json(const DseResult& r, const DseOptions& opts,
                        double wall_ms);
 

@@ -2,16 +2,12 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstdio>
 #include <set>
 #include <sstream>
-#include <stdexcept>
-#include <unordered_map>
 #include <utility>
 
 #include "fixpt/bitwidth.h"
 #include "hls/schedule.h"
-#include "hls/synth_cache.h"
 #include "hls/transforms.h"
 
 namespace hlsw::hls {
@@ -38,30 +34,14 @@ namespace {
 
 int value_bits(const FxType& t) { return t.w * (t.cplx ? 2 : 1); }
 
-// One region of the transformed design, simulated from the directives
-// without running apply_transforms: unroll divides the trip (ceil), a
-// merge keeps the first member's label and the max member trip, in region
-// order. `members` records the source loops folded in and their unroll
-// factors — together with the clock/multiplier-cap environment they
-// determine the merged body exactly, which is what lets floor results be
-// shared across shapes that only differ in sibling directives.
-struct SimRegion {
-  bool is_loop;
-  std::string label;
-  int trip;
-  std::vector<std::pair<std::string, int>> members;  // (source label, unroll)
-};
-
 // Canonicalization state: the directives being rewritten toward their
 // metrics-equivalent normal form, plus the first violation found (the
-// verdict reports the structurally most fundamental change), plus the
-// simulated post-transform structure.
+// verdict reports the structurally most fundamental change).
 struct Canon {
   Directives dir;
   InfeasibleKind kind = InfeasibleKind::kNone;
   std::string reason;
   bool changed = false;
-  std::vector<SimRegion> structure;
 };
 
 void flag(Canon* c, InfeasibleKind kind, const std::string& reason) {
@@ -78,15 +58,11 @@ void flag(Canon* c, InfeasibleKind kind, const std::string& reason) {
 // Rewrites that the key canonicalization already absorbs (unroll <= 1
 // entries, default array entries) stay silent.
 void canonicalize_structure(const Function& f, Canon* c) {
-  // Loop labels in region order (merge_loops resolves a label to its LAST
-  // matching region, mirrored below via the map overwrite).
-  std::vector<std::string> order;
+  // Loop trips by label (merge_loops resolves a label to its LAST matching
+  // region, mirrored here via the map overwrite).
   std::map<std::string, int> trips;
-  for (const auto& region : f.regions) {
-    if (!region.is_loop) continue;
-    order.push_back(region.loop.label);
-    trips[region.loop.label] = region.loop.trip;
-  }
+  for (const auto& region : f.regions)
+    if (region.is_loop) trips[region.loop.label] = region.loop.trip;
 
   // --- Per-loop entries: unknown labels, degenerate values, over-unroll.
   for (auto it = c->dir.loops.begin(); it != c->dir.loops.end();) {
@@ -146,23 +122,14 @@ void canonicalize_structure(const Function& f, Canon* c) {
 
   // --- Merge groups: replay merge_loops' acceptance test on a simulated
   // region list (groups apply in order; earlier merges change what later
-  // groups see) and drop every group the engine would refuse. The same
-  // simulation yields the transformed structure: unroll first (trip
-  // becomes ceil(trip/U), mirroring apply_transforms' order), merges take
-  // the max member trip.
+  // groups see) and drop every group the engine would refuse.
+  struct SimRegion {
+    bool is_loop;
+    std::string label;
+  };
   std::vector<SimRegion> sim;
-  for (const auto& region : f.regions) {
-    if (!region.is_loop) {
-      sim.push_back({false, region.name, 1, {}});
-      continue;
-    }
-    const int u =
-        std::max(1, c->dir.loop_directive(region.loop.label).unroll);
-    sim.push_back({true,
-                   region.loop.label,
-                   (region.loop.trip + u - 1) / u,
-                   {{region.loop.label, u}}});
-  }
+  for (const auto& region : f.regions)
+    sim.push_back({region.is_loop, region.is_loop ? region.loop.label : ""});
 
   const bool had_explicit = !c->dir.merge_groups.empty();
   std::vector<std::vector<std::string>> groups = c->dir.merge_groups;
@@ -219,15 +186,6 @@ void canonicalize_structure(const Function& f, Canon* c) {
     kept.push_back(group);
     for (std::size_t i = 1; i < group.size(); ++i)
       merged_away.insert(group[i]);
-    SimRegion& front_region = sim[static_cast<size_t>(idx.front())];
-    for (int r = idx.front() + 1; r <= idx.back(); ++r) {
-      SimRegion& member = sim[static_cast<size_t>(r)];
-      front_region.trip = std::max(front_region.trip, member.trip);
-      front_region.members.insert(front_region.members.end(),
-                                  member.members.begin(),
-                                  member.members.end());
-    }
-    front_region.label = group.front();
     sim.erase(sim.begin() + idx.front() + 1, sim.begin() + idx.back() + 1);
   }
   if (had_explicit) {
@@ -248,8 +206,6 @@ void canonicalize_structure(const Function& f, Canon* c) {
     flag(c, InfeasibleKind::kMergeConflict, os.str());
     ld.pipeline_ii = 0;
   }
-
-  c->structure = std::move(sim);
 }
 
 // ---------------------------------------------------------------------------
@@ -541,353 +497,43 @@ double area_lb(const Function& f, const Directives& dir,
          tech.io_area_per_bit * static_cast<double>(io_bits);
 }
 
-// The subset of area_lb that does not depend on the loop transforms,
-// evaluated on the ORIGINAL function with array mappings resolved from the
-// directives. Every term kept here is transform-invariant or transform-
-// monotone: unroll duplicates ops (same per-op FU demand), preserves
-// per-element write counts, and only adds variable writers; merge
-// concatenates bodies. Register-array READ steering muxes are the one term
-// unrolling can shrink (a full partition leaves 1-input muxes), so like
-// pipeline registers they are omitted here and return in the tight tier.
-// The FSM/counter term depends on the transformed structure and is added
-// by the caller.
-double area_static_lb(const Function& f, const Directives& dir,
-                      const TechLibrary& tech) {
-  double max_mul = 0, max_add = 0;
-  long long storage_bits = 0, mem_bits = 0, io_bits = 0, io_reg_bits = 0;
-  int mem_ports = 0;
-  double mux = 0;
-
-  std::vector<ArrayMapping> mapping(f.arrays.size());
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    mapping[a] = dir.array_directive(f.arrays[a].name).mapping;
-
-  for (const auto& region : f.regions) {
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    for (std::size_t i = 0; i < b.ops.size(); ++i) {
-      const OpCost cst = op_cost(f, b, static_cast<int>(i), tech);
-      if (cst.real_mults > 0)
-        max_mul = std::max(max_mul,
-                           cst.real_mults * tech.mul_area(cst.wa, cst.wb));
-      if (cst.real_adds > 0)
-        max_add = std::max(max_add, cst.real_adds * tech.add_area(cst.add_w));
-    }
-  }
-
-  for (const auto& v : f.vars) storage_bits += value_bits(v.type);
-  for (std::size_t a = 0; a < f.arrays.size(); ++a) {
-    const Array& arr = f.arrays[a];
-    const long long bits =
-        static_cast<long long>(arr.length) * value_bits(arr.elem);
-    if (mapping[a] == ArrayMapping::kMemory) {
-      const ArrayDirective ad = dir.array_directive(arr.name);
-      mem_bits += bits;
-      mem_ports += std::max(1, ad.mem_read_ports) +
-                   std::max(1, ad.mem_write_ports);
-    } else {
-      storage_bits += bits;
-    }
-  }
-
-  std::vector<int> var_writers(f.vars.size(), 0);
-  std::vector<std::vector<int>> elem_writers(f.arrays.size());
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    elem_writers[a].assign(static_cast<size_t>(f.arrays[a].length), 0);
-  for (const auto& region : f.regions) {
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    const int trip = region.is_loop ? region.loop.trip : 1;
-    for (const Op& op : b.ops) {
-      if (op.kind == OpKind::kVarWrite) {
-        ++var_writers[static_cast<size_t>(op.var)];
-      } else if (op.kind == OpKind::kArrayWrite &&
-                 mapping[static_cast<size_t>(op.array)] ==
-                     ArrayMapping::kRegisters) {
-        const int g = op.guard_trip < 0 ? trip : op.guard_trip;
-        for (int k = 0; k < g; ++k) {
-          const int idx = op.idx.eval(k);
-          if (idx >= 0 && idx < f.arrays[static_cast<size_t>(op.array)].length)
-            ++elem_writers[static_cast<size_t>(op.array)]
-                          [static_cast<size_t>(idx)];
-        }
-      }
-    }
-  }
-  for (std::size_t v = 0; v < f.vars.size(); ++v)
-    mux += tech.mux_area(var_writers[v], value_bits(f.vars[v].type));
-  for (std::size_t a = 0; a < f.arrays.size(); ++a)
-    for (int w : elem_writers[a])
-      mux += tech.mux_area(w, value_bits(f.arrays[a].elem));
-
-  auto iface_of = [&](const std::string& name) {
-    auto it = dir.interfaces.find(name);
-    return it == dir.interfaces.end() ? InterfaceKind::kWire : it->second;
-  };
-  for (const auto& v : f.vars) {
-    if (v.port == PortDir::kNone) continue;
-    const int bits = value_bits(v.type);
-    switch (iface_of(v.name)) {
-      case InterfaceKind::kRegistered:
-        io_reg_bits += bits;
-        io_bits += bits;
-        break;
-      case InterfaceKind::kHandshake:
-        io_reg_bits += bits;
-        io_bits += bits + 2;
-        break;
-      default:
-        io_bits += bits;
-        break;
-    }
-  }
-  for (const auto& a : f.arrays) {
-    if (a.port == PortDir::kNone) continue;
-    const long long full =
-        static_cast<long long>(a.length) * value_bits(a.elem);
-    switch (iface_of(a.name)) {
-      case InterfaceKind::kStream:
-        io_bits += value_bits(a.elem) + 2;
-        break;
-      case InterfaceKind::kRegistered:
-        io_reg_bits += full;
-        io_bits += full;
-        break;
-      case InterfaceKind::kHandshake:
-        io_reg_bits += full;
-        io_bits += full + 2;
-        break;
-      default:
-        io_bits += full;
-        break;
-    }
-  }
-
-  return max_mul + max_add +
-         tech.reg_area(static_cast<int>(storage_bits + io_reg_bits)) + mux +
-         (mem_bits > 0 ? tech.mem_area(static_cast<int>(mem_bits), mem_ports)
-                       : 0) +
-         tech.io_area_per_bit * static_cast<double>(io_bits);
-}
-
-// Serialized array-mapping + interface environment — the directive axes
-// the cross-shape memos below additionally depend on.
-std::string array_iface_key(const Directives& d) {
-  std::string key;
-  key.reserve(64);
-  char buf[48];
-  key += "arr=";
-  for (const auto& [name, ad] : d.arrays) {
-    if (ad.mapping == ArrayMapping::kRegisters && ad.mem_read_ports == 1 &&
-        ad.mem_write_ports == 1)
-      continue;
-    key += name;
-    std::snprintf(buf, sizeof buf, ":%d:%d:%d,", static_cast<int>(ad.mapping),
-                  ad.mem_read_ports, ad.mem_write_ports);
-    key += buf;
-  }
-  key += ";if=";
-  for (const auto& [name, kind] : d.interfaces) {
-    key += name;
-    std::snprintf(buf, sizeof buf, ":%d,", static_cast<int>(kind));
-    key += buf;
-  }
-  return key;
-}
-
 }  // namespace
 
-// One analyzed transform shape: the expensive, pipeline-II-independent
-// part of a verdict. Candidates differing only in requested IIs share an
-// entry; their floors accumulate lazily per loop label.
-//
-// The bounds come in two tiers. The weak tier (populate) is near-free: one
-// cycle per region body and the schedule-independent area floor. The tight
-// tier (tighten: the relaxed schedule replay and the FSM-aware area bound)
-// is computed only when something can use the extra precision — a direct
-// caller, or a resolved point that dominates the weak bounds and needs the
-// claim re-proved against the tight ones. Since weak <= tight
-// component-wise, screening domination on weak bounds never misses a
-// candidate the tight bounds would have pruned.
-struct FeasibilityCache::Impl {
-  struct Entry {
-    TransformResult tf;   // materialized on demand (floor misses, tight tier)
-    bool has_tf = false;
-    struct RegionInfo {
-      bool is_loop;
-      std::string label;
-      int trip;
-      int rc = 1;  // relaxed cycle count of the region body (tight only)
-    };
-    std::vector<RegionInfo> regions;  // the simulated transformed structure
-    int stream_lat = 0;               // latency addend from stream ports
-    bool tight = false;               // relaxed schedule computed?
-    double area = 0;                  // area bound at the current tier
-    std::string env_key;  // array/interface fragment for cross-shape memos
-    std::map<std::string, std::pair<int, int>> floors;  // label -> (bw, rec)
-  };
-  std::unordered_map<std::string, Entry> entries;
-  // Cross-shape memos: the same merged/unrolled loop body recurs across
-  // many shapes (a sibling loop's directives change the shape key but not
-  // this body), and the schedule-independent area term depends only on the
-  // array-mapping/interface environment. Hits on these avoid materializing
-  // the transform at all.
-  std::unordered_map<std::string, std::pair<int, int>> floor_memo;
-  std::unordered_map<std::string, double> static_area_memo;
-
-  void populate(const Function& f, const Directives& shape,
-                const std::vector<SimRegion>& structure,
-                const TechLibrary& tech, Entry* e);
-  void materialize(const Function& f, const Directives& shape, Entry* e);
-  void tighten(const Function& f, const Directives& shape,
-               const TechLibrary& tech, Entry* e);
-};
-
-void FeasibilityCache::Impl::populate(const Function& f,
-                                      const Directives& shape,
-                                      const std::vector<SimRegion>& structure,
-                                      const TechLibrary& tech, Entry* e) {
-  // Weak tier, without running the transform engine: region list and trips
-  // from the canonicalization's structure simulation, one FSM state per
-  // region body, the memoized schedule-independent area term.
-  int fsm_states = shape.handshake ? 1 : 0;
-  int counter_bits = 0;
-  e->regions.reserve(structure.size());
-  for (const auto& s : structure) {
-    e->regions.push_back({s.is_loop, s.label, s.trip});
-    ++fsm_states;
-    if (s.is_loop)
-      counter_bits +=
-          fixpt::clog2(static_cast<unsigned long long>(s.trip) + 1);
-  }
-  for (const auto& a : f.arrays) {
-    if (a.port == PortDir::kNone) continue;
-    auto it = shape.interfaces.find(a.name);
-    if (it != shape.interfaces.end() &&
-        it->second == InterfaceKind::kStream) {
-      e->stream_lat += a.length;
-      counter_bits +=
-          fixpt::clog2(static_cast<unsigned long long>(a.length) + 1);
-    }
-  }
-  e->env_key = array_iface_key(shape);
-  auto [it, fresh] = static_area_memo.try_emplace(e->env_key, 0.0);
-  if (fresh) it->second = area_static_lb(f, shape, tech);
-  e->area = it->second + tech.fsm_area(fsm_states, counter_bits);
-}
-
-void FeasibilityCache::Impl::materialize(const Function& f,
-                                         const Directives& shape, Entry* e) {
-  if (e->has_tf) return;
-  // The transformed design the scheduler would actually see. Canonical and
-  // original directives transform to metrics-identical IR by construction.
-  e->tf = apply_transforms(f, shape);
-  e->has_tf = true;
-  // Floors and bounds index into the simulated structure; it must mirror
-  // the engine exactly. Fail loudly on any divergence.
-  bool ok = e->tf.func.regions.size() == e->regions.size();
-  for (std::size_t r = 0; ok && r < e->regions.size(); ++r) {
-    const auto& region = e->tf.func.regions[r];
-    ok = region.is_loop == e->regions[r].is_loop &&
-         (!region.is_loop || (region.loop.label == e->regions[r].label &&
-                              region.loop.trip == e->regions[r].trip));
-  }
-  if (!ok)
-    throw std::logic_error(
-        "check_feasibility: simulated transform structure diverged from "
-        "apply_transforms");
-}
-
-void FeasibilityCache::Impl::tighten(const Function& f,
-                                     const Directives& shape,
-                                     const TechLibrary& tech, Entry* e) {
-  if (e->tight) return;
-  materialize(f, shape, e);
-  std::vector<int> relaxed;
-  relaxed.reserve(e->tf.func.regions.size());
-  for (std::size_t r = 0; r < e->tf.func.regions.size(); ++r) {
-    const auto& region = e->tf.func.regions[r];
-    const Block& b = region.is_loop ? region.loop.body : region.straight;
-    const int rc =
-        relaxed_block_cycles(e->tf.func, b, e->regions[r].trip, shape, tech);
-    relaxed.push_back(rc);
-    e->regions[r].rc = rc;
-  }
-  e->area = area_lb(e->tf.func, shape, tech, relaxed);
-  e->tight = true;
-}
-
-FeasibilityCache::FeasibilityCache() : impl_(std::make_unique<Impl>()) {}
-FeasibilityCache::~FeasibilityCache() = default;
-std::size_t FeasibilityCache::size() const { return impl_->entries.size(); }
-
-FeasibilityVerdict check_feasibility(
-    const Function& f, const Directives& dir, const TechLibrary& tech,
-    const std::vector<ResolvedPoint>& resolved_points,
-    FeasibilityCache* cache) {
+FeasibilityVerdict check_feasibility(const Function& f, const Directives& dir,
+                                     const TechLibrary& tech) {
   Canon canon;
   canon.dir = dir;
   canonicalize_structure(f, &canon);
 
-  // The transform, the relaxed schedule and the area bound never read
-  // pipeline_ii (transforms are unroll/merge/array-mapping only; the II
-  // floors below are per-loop and cached separately), so the expensive
-  // analysis is keyed on the canonical directives with the II axis erased.
-  Directives shape = canon.dir;
-  for (auto& [label, ld] : shape.loops) ld.pipeline_ii = 0;
-  FeasibilityCache::Impl local_impl;
-  FeasibilityCache::Impl* impl = cache ? cache->impl_.get() : &local_impl;
-  auto [eit, fresh] =
-      impl->entries.try_emplace(dse_cache_key(0, shape, tech));
-  FeasibilityCache::Impl::Entry* e = &eit->second;
-  if (fresh) impl->populate(f, shape, canon.structure, tech, e);
-  // Direct callers get the tight bounds unconditionally — the documented
-  // relaxed-schedule precision, at one-shot cost.
-  if (!cache) impl->tighten(f, shape, tech, e);
+  // The transformed design the scheduler would actually see. Canonical and
+  // original directives transform to metrics-identical IR by construction,
+  // and nothing below reads pipeline_ii except the II floors, so clamping
+  // an II afterwards leaves the transform and the relaxed schedule valid.
+  const TransformResult tf = apply_transforms(f, canon.dir);
+  const auto& regions = tf.func.regions;
+  std::vector<int> relaxed;
+  relaxed.reserve(regions.size());
+  for (const auto& region : regions)
+    relaxed.push_back(relaxed_block_cycles(
+        tf.func, region.is_loop ? region.loop.body : region.straight,
+        region.is_loop ? region.loop.trip : 1, canon.dir, tech));
 
   // Pipeline II floors on the transformed bodies: the scheduler raises a
   // requested II to at least max(recurrence, bandwidth); a request below
   // that floor synthesizes identically to the floor itself.
-  for (std::size_t r = 0; r < e->regions.size(); ++r) {
-    const auto& info = e->regions[r];
-    if (!info.is_loop) continue;
-    const LoopDirective ld = canon.dir.loop_directive(info.label);
-    if (ld.pipeline_ii < 1) continue;
-    auto fit = e->floors.find(info.label);
-    if (fit == e->floors.end()) {
-      // Cross-shape memo: the merged body is determined by the member
-      // source loops and their unroll factors; the floor additionally
-      // depends on the clock, the multiplier cap and the array/interface
-      // environment — all part of the key. The transform is materialized
-      // only when this memo misses too.
-      std::string mkey;
-      mkey.reserve(e->env_key.size() + 64);
-      mkey += e->env_key;
-      char buf[64];
-      std::snprintf(buf, sizeof buf, ";clk=%.17g;mrm=%d;trip=%d;m=",
-                    shape.clock_period_ns, shape.max_real_multipliers,
-                    info.trip);
-      mkey += buf;
-      for (const auto& [src, u] : canon.structure[r].members) {
-        mkey += src;
-        std::snprintf(buf, sizeof buf, ":%d,", u);
-        mkey += buf;
-      }
-      auto [mit, mfresh] = impl->floor_memo.try_emplace(mkey);
-      if (mfresh) {
-        impl->materialize(f, shape, e);
-        const Block& body = e->tf.func.regions[r].loop.body;
-        mit->second = {
-            bandwidth_min_ii(e->tf.func, body, shape, tech),
-            recurrence_lb(e->tf.func, body, info.trip, shape, tech)};
-      }
-      fit = e->floors.emplace(info.label, mit->second).first;
-    }
-    const int bw = fit->second.first;
-    const int rec = fit->second.second;
+  for (const auto& region : regions) {
+    if (!region.is_loop) continue;
+    const std::string& label = region.loop.label;
+    const int ii = canon.dir.loop_directive(label).pipeline_ii;
+    if (ii < 1) continue;
+    const Block& body = region.loop.body;
+    const int bw = bandwidth_min_ii(tf.func, body, canon.dir, tech);
+    const int rec = recurrence_lb(tf.func, body, region.loop.trip, canon.dir,
+                                  tech);
     const int floor_ii = std::max(rec, bw);
-    if (ld.pipeline_ii < floor_ii) {
+    if (ii < floor_ii) {
       std::ostringstream os;
-      os << "loop '" << info.label << "': pipeline_ii " << ld.pipeline_ii
-         << " is below the "
+      os << "loop '" << label << "': pipeline_ii " << ii << " is below the "
          << (rec >= bw ? "loop-carried recurrence"
                        : "memory-port/multiplier bandwidth")
          << " floor of " << floor_ii;
@@ -895,67 +541,41 @@ FeasibilityVerdict check_feasibility(
            rec >= bw ? InfeasibleKind::kIiBelowRecurrence
                      : InfeasibleKind::kIiBelowBandwidth,
            os.str());
-      canon.dir.loops[info.label].pipeline_ii = floor_ii;
+      canon.dir.loops[label].pipeline_ii = floor_ii;
     }
   }
 
-  // Bounds: cached per-region cycle counts (relaxed-schedule values at the
-  // tight tier, 1 per body at the weak tier) recombined with the
-  // candidate's (clamped) initiation intervals.
-  const auto combined_lat = [&] {
-    int min_lat = 0;
-    for (const auto& info : e->regions) {
-      if (!info.is_loop) {
-        min_lat += info.rc;
-        continue;
-      }
-      const LoopDirective ld = canon.dir.loop_directive(info.label);
-      min_lat += ld.pipeline_ii >= 1
-                     ? info.rc + (info.trip - 1) * ld.pipeline_ii
-                     : info.trip * info.rc;
-    }
-    return min_lat + e->stream_lat;
-  };
-  // Domination: a resolved point at or inside the bounds, strictly better
-  // in at least one axis, proves this candidate can never join the front.
-  const auto dominated_by = [&](const DesignBounds& bounds) {
-    for (std::size_t i = 0; i < resolved_points.size(); ++i) {
-      const ResolvedPoint& q = resolved_points[i];
-      if (q.latency_cycles <= bounds.min_latency_cycles &&
-          q.area <= bounds.min_area &&
-          (q.latency_cycles < bounds.min_latency_cycles ||
-           q.area < bounds.min_area))
-        return static_cast<int>(i);
-    }
-    return -1;
-  };
-
+  // Latency bound: relaxed per-region cycle counts combined with the
+  // candidate's (clamped) initiation intervals, plus one transfer per
+  // element of every streamed array port.
   FeasibilityVerdict v;
-  v.bounds.min_latency_cycles = combined_lat();
-  v.bounds.min_area = e->area;
+  int min_lat = 0;
+  for (std::size_t r = 0; r < regions.size(); ++r) {
+    const int rc = relaxed[r];
+    if (!regions[r].is_loop) {
+      min_lat += rc;
+      continue;
+    }
+    const int trip = regions[r].loop.trip;
+    const int ii = canon.dir.loop_directive(regions[r].loop.label).pipeline_ii;
+    min_lat += ii >= 1 ? rc + (trip - 1) * ii : trip * rc;
+  }
+  for (const auto& a : f.arrays) {
+    if (a.port == PortDir::kNone) continue;
+    auto it = canon.dir.interfaces.find(a.name);
+    if (it != canon.dir.interfaces.end() &&
+        it->second == InterfaceKind::kStream)
+      min_lat += a.length;
+  }
+  v.bounds.min_latency_cycles = min_lat;
+  v.bounds.min_area = area_lb(tf.func, canon.dir, tech, relaxed);
 
   if (canon.changed) {
-    v.clamped = std::move(canon.dir);
     v.status = FeasibilityStatus::kInfeasible;
     v.kind = canon.kind;
     v.reason = std::move(canon.reason);
-    return v;
-  }
-  int dom = dominated_by(v.bounds);
-  if (dom >= 0 && !e->tight) {
-    // A point dominates the weak bounds; re-prove the claim against the
-    // tight ones before pruning (they can only move the bounds up, which
-    // may clear the candidate — never condemn a cleared one).
-    impl->tighten(f, shape, tech, e);
-    v.bounds.min_latency_cycles = combined_lat();
-    v.bounds.min_area = e->area;
-    dom = dominated_by(v.bounds);
   }
   v.clamped = std::move(canon.dir);
-  if (dom >= 0) {
-    v.status = FeasibilityStatus::kBounded;
-    v.dominated_by = dom;
-  }
   return v;
 }
 

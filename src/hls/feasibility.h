@@ -1,6 +1,5 @@
-// Static feasibility analysis for design-space exploration: a Dahlia-style
-// check of a candidate Directives set against the IR that, WITHOUT running
-// the scheduler, either
+// Static feasibility analysis: a Dahlia-style check of a candidate
+// Directives set against the IR that, WITHOUT running the scheduler, either
 //
 //   * proves the candidate cannot be honored as stated (kInfeasible) — a
 //     requested pipeline II below the loop-carried recurrence or the
@@ -8,35 +7,26 @@
 //     trip count, a merge group the engine will refuse, or a pipeline
 //     directive targeting a loop that is merged away — together with a
 //     `clamped` Directives value the engine provably synthesizes to
-//     IDENTICAL metrics (so explorers can serve the candidate from the
-//     clamped configuration's schedule instead of running a redundant one);
+//     IDENTICAL metrics;
 //
-//   * certifies lower bounds on the candidate's metrics (min_latency_cycles,
-//     min_area) and, when a caller-supplied already-resolved point strictly
-//     dominates those bounds, returns kBounded — the candidate provably
-//     cannot join the Pareto front and may be skipped outright;
+//   * or makes no claim (kFeasible).
 //
-//   * or makes no claim (kFeasible, bounds still populated).
+// Either way it certifies lower bounds on the candidate's metrics
+// (min_latency_cycles, min_area). vsim::profile_run reports them, and
+// hls::reconcile_profile fails a run whose measured latency falls below
+// them.
 //
 // Soundness contract (enforced by tests/hls/feasibility_test.cpp, which
-// force-schedules every non-kFeasible verdict): a kInfeasible candidate's
-// true metrics equal its `clamped` metrics and the stated violation holds
-// on the real schedule; a kBounded/kFeasible candidate's true latency and
-// area are never below `bounds`. The bounds come from a relaxed replay of
-// the scheduler's own greedy placement (dependences + operator chaining,
-// resource checks dropped — a component-wise lower bound on every op's
-// cycle) and from the schedule-independent terms of the area model.
-// Direct calls always report these tight bounds. Calls through a
-// FeasibilityCache may report a weaker tier (one cycle per region body,
-// the schedule-independent area floor) — still certified lower bounds —
-// and escalate to the tight tier only when a resolved point dominates the
-// weak bounds, so a kBounded verdict is always proved against the tight
-// ones and the prune decisions are identical either way.
+// force-schedules every verdict): a kInfeasible candidate's true metrics
+// equal its `clamped` metrics and the stated violation holds on the real
+// schedule; every candidate's true latency and area are never below
+// `bounds`. The bounds come from a relaxed replay of the scheduler's own
+// greedy placement (dependences + operator chaining, resource checks
+// dropped — a component-wise lower bound on every op's cycle) and from the
+// schedule-independent terms of the area model.
 #pragma once
 
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "hls/directives.h"
 #include "hls/ir.h"
@@ -44,38 +34,9 @@
 
 namespace hlsw::hls {
 
-struct FeasibilityVerdict;
-
-// Memoizes the transform-shape analysis (loop transforms, relaxed
-// schedule, area bound, per-loop II floors) across check_feasibility()
-// calls. Everything expensive in a verdict depends only on the directives
-// with the pipeline-II axis erased, so candidates in a sweep that differ
-// only in requested IIs share one cache entry and cost little more than
-// canonicalization. The cache is keyed on directives alone: use one
-// instance per (Function, TechLibrary) pair, from one thread at a time
-// (explore() owns one per call on the enumeration thread).
-class FeasibilityCache {
- public:
-  FeasibilityCache();
-  ~FeasibilityCache();
-  FeasibilityCache(const FeasibilityCache&) = delete;
-  FeasibilityCache& operator=(const FeasibilityCache&) = delete;
-
-  // Distinct transform shapes analyzed so far (exposed for tests/benches).
-  std::size_t size() const;
-
- private:
-  friend FeasibilityVerdict check_feasibility(
-      const Function&, const Directives&, const TechLibrary&,
-      const std::vector<struct ResolvedPoint>&, FeasibilityCache*);
-  struct Impl;
-  std::unique_ptr<Impl> impl_;
-};
-
 enum class FeasibilityStatus {
-  kFeasible,    // no claim; bounds are valid but no resolved point covers them
+  kFeasible,    // no claim; bounds are still valid
   kInfeasible,  // directives cannot be honored as stated; see kind/clamped
-  kBounded,     // provably dominated by resolved_points[dominated_by]
 };
 
 enum class InfeasibleKind {
@@ -97,30 +58,16 @@ struct DesignBounds {
   double min_area = 0;
 };
 
-// An already-synthesized (latency, area) point the analysis may use to
-// prove a candidate non-Pareto.
-struct ResolvedPoint {
-  int latency_cycles = 0;
-  double area = 0;
-};
-
 struct FeasibilityVerdict {
   FeasibilityStatus status = FeasibilityStatus::kFeasible;
   InfeasibleKind kind = InfeasibleKind::kNone;
-  std::string reason;     // human-readable; non-empty iff kInfeasible
-  Directives clamped;     // metrics-equivalent canonical form (kInfeasible)
-  DesignBounds bounds;    // valid for every status
-  int dominated_by = -1;  // index into resolved_points (kBounded only)
+  std::string reason;   // human-readable; non-empty iff kInfeasible
+  Directives clamped;   // metrics-equivalent canonical form
+  DesignBounds bounds;  // valid for every status
 };
 
 // Analyzes `dir` against `f` (the pre-transform IR) without scheduling.
-// `resolved_points` is the set of already-synthesized points a kBounded
-// verdict may cite; pass an empty vector to disable domination claims.
-// `cache` (optional) memoizes the transform-shape analysis across calls —
-// verdicts are identical with or without it.
-FeasibilityVerdict check_feasibility(
-    const Function& f, const Directives& dir, const TechLibrary& tech,
-    const std::vector<ResolvedPoint>& resolved_points = {},
-    FeasibilityCache* cache = nullptr);
+FeasibilityVerdict check_feasibility(const Function& f, const Directives& dir,
+                                     const TechLibrary& tech);
 
 }  // namespace hlsw::hls

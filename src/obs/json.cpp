@@ -147,6 +147,7 @@ struct Parser {
   std::string_view text;
   std::size_t pos = 0;
   std::string err;
+  int depth = 0;  // open arrays/objects around the current position
 
   bool fail(const std::string& what) {
     if (err.empty())
@@ -167,6 +168,18 @@ struct Parser {
       return true;
     }
     return false;
+  }
+
+  bool enter() {
+    if (depth == Json::kMaxDepth)
+      return fail("nesting deeper than " + std::to_string(Json::kMaxDepth));
+    ++depth;
+    return true;
+  }
+
+  bool leave() {
+    --depth;
+    return true;
   }
 
   bool literal(std::string_view word) {
@@ -258,24 +271,26 @@ struct Parser {
       return true;
     }
     if (c == '[') {
+      if (!enter()) return false;
       ++pos;
       *out = Json::array();
       skip_ws();
-      if (consume(']')) return true;
+      if (consume(']')) return leave();
       while (true) {
         Json elem;
         if (!parse_value(&elem)) return false;
         out->push(std::move(elem));
         skip_ws();
-        if (consume(']')) return true;
+        if (consume(']')) return leave();
         if (!consume(',')) return fail("expected ',' or ']'");
       }
     }
     if (c == '{') {
+      if (!enter()) return false;
       ++pos;
       *out = Json::object();
       skip_ws();
-      if (consume('}')) return true;
+      if (consume('}')) return leave();
       while (true) {
         skip_ws();
         std::string key;
@@ -286,7 +301,7 @@ struct Parser {
         if (!parse_value(&value)) return false;
         out->set(key, std::move(value));
         skip_ws();
-        if (consume('}')) return true;
+        if (consume('}')) return leave();
         if (!consume(',')) return fail("expected ',' or '}'");
       }
     }
@@ -306,7 +321,7 @@ struct Parser {
 }  // namespace
 
 bool Json::parse(std::string_view text, Json* out, std::string* err) {
-  Parser p{text, 0, {}};
+  Parser p{text, 0, {}, 0};
   Json result;
   if (!p.parse_value(&result)) {
     if (err) *err = p.err;

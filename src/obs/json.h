@@ -73,9 +73,12 @@ class Json {
   std::string dump(int indent = -1) const;
 
   // Strict parse of a complete document (trailing garbage is an error).
-  // Returns false and fills *err (if given) on malformed input.
+  // Returns false and fills *err (if given) on malformed input, including
+  // arrays/objects nested deeper than kMaxDepth (the parser recurses once
+  // per level, so unbounded nesting would overflow the stack).
   static bool parse(std::string_view text, Json* out,
                     std::string* err = nullptr);
+  static constexpr int kMaxDepth = 512;
 
  private:
   void dump_to(std::string* out, int indent, int depth) const;

@@ -427,7 +427,7 @@ bool dse_options_from_json(const Json* j, hls::DseOptions* out,
   if (!want_object(*j, path, err)) return false;
   if (!check_keys(*j, path,
                   {"clock_period_ns", "unroll_factors", "pipeline_iis",
-                   "try_merge", "try_no_merge", "prune", "max_configs"},
+                   "try_merge", "try_no_merge", "max_configs"},
                   err))
     return false;
   if (!get_num_field(*j, path, "clock_period_ns", &out->clock_period_ns,
@@ -441,7 +441,6 @@ bool dse_options_from_json(const Json* j, hls::DseOptions* out,
     return false;
   if (!get_bool_field(*j, path, "try_no_merge", &out->try_no_merge, err))
     return false;
-  if (!get_bool_field(*j, path, "prune", &out->prune, err)) return false;
   long long mc = out->max_configs;
   if (!get_int_field(*j, path, "max_configs", &mc, nullptr, err))
     return false;

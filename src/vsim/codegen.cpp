@@ -1562,9 +1562,14 @@ bool build_shared_object(std::string src, std::string* fp_out,
   const std::filesystem::path so = dir / (fp + ".so");
   const std::filesystem::path cpp = dir / (fp + ".cpp");
   const std::filesystem::path log = dir / (fp + ".log");
+  // Per-process staging names: every artifact is written under one of
+  // these and renamed into place, so a process building the same
+  // fingerprint never truncates another's compiler input, log or object.
+  const std::string staging = ".tmp" + std::to_string(::getpid());
 
   // One compilation at a time per process; cross-process races are settled
-  // by the atomic rename below (last writer wins, both artifacts valid).
+  // by the atomic renames below (last writer wins, every artifact valid:
+  // one fingerprint means one source text).
   static std::mutex build_mu;
   std::lock_guard<std::mutex> lk(build_mu);
 
@@ -1576,27 +1581,39 @@ bool build_shared_object(std::string src, std::string* fp_out,
     cache_hit = lm.handle != nullptr;
   }
   if (!cache_hit) {
+    const std::filesystem::path cpp_tmp = dir / (fp + ".cpp" + staging);
     {
-      std::ofstream f(cpp);
+      std::ofstream f(cpp_tmp);
       f << src;
       if (!f) {
-        *why = "cannot write " + cpp.string();
+        std::filesystem::remove(cpp_tmp, ec);
+        *why = "cannot write " + cpp_tmp.string();
         return false;
       }
     }
-    const std::filesystem::path tmp =
-        dir / (fp + ".so.tmp" + std::to_string(::getpid()));
+    std::filesystem::rename(cpp_tmp, cpp, ec);
+    if (ec) {
+      std::filesystem::remove(cpp_tmp, ec);
+      *why = "cannot install " + cpp.string() + ": " + ec.message();
+      return false;
+    }
+    const std::filesystem::path tmp = dir / (fp + ".so" + staging);
+    const std::filesystem::path log_tmp = dir / (fp + ".log" + staging);
     const std::string cmd = cxx + " -std=c++17 -O2 -fPIC -shared -o '" +
                             tmp.string() + "' '" + cpp.string() + "' > '" +
-                            log.string() + "' 2>&1";
+                            log_tmp.string() + "' 2>&1";
     if (metrics)
       obs::MetricsRegistry::instance().add("vsim.codegen.compiles", 1.0);
-    if (std::system(cmd.c_str()) != 0) {
-      std::string excerpt;
-      std::ifstream lf(log);
+    const bool built = std::system(cmd.c_str()) == 0;
+    std::string excerpt;
+    if (!built) {
+      std::ifstream lf(log_tmp);
       std::string line;
       for (int i = 0; i < 3 && std::getline(lf, line); ++i)
         excerpt += (excerpt.empty() ? "" : " | ") + line;
+    }
+    std::filesystem::rename(log_tmp, log, ec);
+    if (!built) {
       std::filesystem::remove(tmp, ec);
       *why = "toolchain '" + cxx + "' failed (" +
              (excerpt.empty() ? "see " + log.string() : excerpt) + ")";

@@ -239,8 +239,7 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
                        const SimConfig& cfg)
     : design_(std::move(design)), cfg_(cfg) {
   Backend want = cfg_.backend;
-  if (want == Backend::kAuto)
-    want = cfg_.compiled ? Backend::kCompiled : Backend::kEvent;
+  if (want == Backend::kAuto) want = Backend::kCompiled;
   if (want == Backend::kPackedCodegen) {
     // The packed tiers only exist inside PackedDutHarness (lanes > 1); a
     // scalar Simulation degrades straight through the codegen tier.

@@ -25,9 +25,11 @@
 
 namespace hlsw::vsim {
 
-// Execution engine selection. kAuto defers to the legacy `compiled` flag
-// (compiled interpreter when the design cycle-schedules, event kernel
-// otherwise). Each tier degrades silently down the chain
+// Execution engine selection. For a scalar Simulation, kAuto means the
+// compiled interpreter when the design cycle-schedules, the event kernel
+// otherwise (designs with time control, $finish/$stop or zero-delay
+// feedback); multi-lane harnesses try packed codegen first. Each tier
+// degrades silently down the chain
 //   packed-codegen -> packed-interp -> codegen -> compiled -> event
 // with the reason recorded in fallback_reason() (Simulation, or
 // PackedDutHarness for the multi-lane tiers). The two packed tiers only
@@ -35,7 +37,7 @@ namespace hlsw::vsim {
 // asked for kPackedCodegen degrades straight through the codegen tier with
 // a "packed-codegen: " prefixed reason.
 enum class Backend {
-  kAuto,      // honor SimConfig::compiled (the pre-codegen default)
+  kAuto,      // the default: see above
   kEvent,     // stratified event kernel (sim.cpp)
   kCompiled,  // levelized tape interpreter (compile.cpp)
   kCodegen,   // generated + dlopen'd native engine (codegen.cpp)
@@ -46,17 +48,8 @@ struct SimConfig {
   long long max_time = 1'000'000'000;  // free-run safety stop (time units)
   long long max_instrs_per_slot = 50'000'000;  // zero-delay-loop guard
   int max_comb_iterations = 1'000'000;         // combinational-loop guard
-  // Prefer the compiled cycle-based backend (compile.h) when the design is
-  // cycle-schedulable; designs with time control, $finish/$stop or
-  // zero-delay feedback silently keep the event-driven kernel. Mirrors
-  // rtl::SimOptions::compiled. Consulted only when backend == kAuto.
-  bool compiled = true;
   Backend backend = Backend::kAuto;
 };
-
-// The vsim-facing name for the simulation options (ISSUE wording parity
-// with rtl::SimOptions).
-using VsimOptions = SimConfig;
 
 struct SimStats {
   long long events = 0;        // observed value changes
@@ -83,10 +76,10 @@ class CodegenSim;
 class Simulation {
  public:
   // Compiles every process and runs the time-0 active region (initial
-  // blocks up to their first wait, all continuous assigns). When
-  // cfg.compiled is true (the default) and the design is
-  // cycle-schedulable, execution is delegated to the levelized compiled
-  // backend (compile.h) — observable behavior is identical.
+  // blocks up to their first wait, all continuous assigns). Under
+  // Backend::kAuto (the default), a cycle-schedulable design is delegated
+  // to the levelized compiled backend (compile.h) — observable behavior is
+  // identical.
   explicit Simulation(std::shared_ptr<const Design> design,
                       const SimConfig& cfg = {});
   ~Simulation();

@@ -3,14 +3,11 @@
 // one is checked here against the scheduler itself — the ground truth it
 // is supposed to predict without running:
 //
-//  - kInfeasible("redirect"): the candidate synthesizes *identically* to
-//    its clamped canonical form. We force-schedule both and require equal
-//    latency and area, exactly — a single divergence is a false prune.
+//  - kInfeasible: the candidate synthesizes *identically* to its clamped
+//    canonical form. We force-schedule both and require equal latency and
+//    area, exactly — a single divergence is a false claim.
 //  - bounds: min_latency_cycles / min_area are true lower bounds on the
 //    scheduled metrics for every verdict kind.
-//  - kBounded("dominated"): the resolved point named by dominated_by must
-//    strictly dominate the candidate's *actual* scheduled metrics, not
-//    just its bounds.
 //
 // The oracle runs over thirteen architectures — the ten from
 // qam::exploration_architectures() plus three built here to force the
@@ -18,15 +15,8 @@
 // randomized directive mutator that deliberately produces degenerate
 // spellings (over-unrolling, sub-floor IIs, unknown labels, port
 // starvation, conflicting merge groups).
-//
-// The second half checks the end-to-end guarantee explore() relies on:
-// pruning never changes the Pareto front, only the amount of scheduler
-// work — prune-on and prune-off sweeps of the same space produce the same
-// front, name for name, and every prune-on row exists in the prune-off
-// sweep with identical metrics.
 #include <gtest/gtest.h>
 
-#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -141,7 +131,6 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
   const auto archs = oracle_architectures();
   ASSERT_EQ(archs.size(), 13u);
 
-  std::vector<ResolvedPoint> resolved;
   std::size_t infeasible_seen = 0;
   std::size_t bandwidth_seen = 0, recurrence_seen = 0;
 
@@ -154,7 +143,7 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
       for (int m = 0; m < sample % 4; ++m) mutate(dir, rng);
       SCOPED_TRACE(archs[ai].name + " sample " + std::to_string(sample));
 
-      const FeasibilityVerdict v = check_feasibility(f, dir, tech, resolved);
+      const FeasibilityVerdict v = check_feasibility(f, dir, tech);
       const SynthesisResult actual = run_synthesis(f, dir, tech);
 
       // Claim 1: bounds are true lower bounds, whatever the verdict.
@@ -168,7 +157,7 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
         EXPECT_NE(v.kind, InfeasibleKind::kNone);
         EXPECT_FALSE(v.reason.empty());
         // Claim 2: the clamped form is metrics-identical — scheduling the
-        // original buys nothing. Any divergence here is a false prune.
+        // original buys nothing. Any divergence here is a false claim.
         const SynthesisResult clamped = run_synthesis(f, v.clamped, tech);
         EXPECT_EQ(actual.latency_cycles(), clamped.latency_cycles());
         EXPECT_DOUBLE_EQ(actual.area.total, clamped.area.total);
@@ -180,72 +169,23 @@ TEST(Feasibility, DifferentialOracleOverThirteenArchitectures) {
                   v.bounds.min_latency_cycles);
         EXPECT_DOUBLE_EQ(again.bounds.min_area, v.bounds.min_area);
       } else {
+        // kFeasible: no claim, and `clamped` is the same configuration
+        // (any rewrite it made is invisible to the canonical cache key).
+        EXPECT_EQ(v.status, FeasibilityStatus::kFeasible);
         EXPECT_EQ(v.kind, InfeasibleKind::kNone);
         EXPECT_TRUE(v.reason.empty());
+        EXPECT_EQ(dse_cache_key(0, v.clamped, tech),
+                  dse_cache_key(0, dir, tech));
       }
-
-      if (v.status == FeasibilityStatus::kBounded) {
-        // Claim 3: the cited point strictly dominates the *scheduled*
-        // metrics, so skipping this candidate cannot lose a front member.
-        ASSERT_GE(v.dominated_by, 0);
-        ASSERT_LT(static_cast<std::size_t>(v.dominated_by), resolved.size());
-        const ResolvedPoint& q = resolved[v.dominated_by];
-        EXPECT_LE(q.latency_cycles, actual.latency_cycles());
-        EXPECT_LE(q.area, actual.area.total + 1e-9);
-        EXPECT_TRUE(q.latency_cycles < actual.latency_cycles() ||
-                    q.area < actual.area.total)
-            << "dominated verdict without strict improvement";
-      }
-
-      resolved.push_back({actual.latency_cycles(), actual.area.total});
     }
   }
 
-  // The sweep must actually exercise the analysis: redirects of both II
+  // The sweep must actually exercise the analysis: clamps of both II
   // floors. (The three extra architectures exist precisely to force
-  // them.) Domination verdicts cannot occur organically on this design
-  // space — every fast QAM configuration is also big — and are covered by
-  // the crafted-resolved-set test below.
+  // them.)
   EXPECT_GT(infeasible_seen, 0u);
   EXPECT_GT(bandwidth_seen, 0u);
   EXPECT_GT(recurrence_seen, 0u);
-}
-
-// Domination verdicts, exercised with resolved sets crafted from each
-// architecture's own bounds: a point one area unit inside the candidate's
-// lower-bound box forces kBounded, and claim 3 — the cited point strictly
-// dominates the *actual* scheduled metrics — must then hold, because the
-// bounds are true lower bounds. Points outside the box must never trigger
-// a skip.
-TEST(Feasibility, DominatedVerdictCitesATrulyDominatingPoint) {
-  const Function f = qam::build_qam_decoder_ir();
-  const TechLibrary tech = TechLibrary::asic90();
-
-  for (const auto& arch : oracle_architectures()) {
-    SCOPED_TRACE(arch.name);
-    const FeasibilityVerdict base = check_feasibility(f, arch.dir, tech);
-    if (base.status == FeasibilityStatus::kInfeasible) continue;
-
-    const SynthesisResult actual = run_synthesis(f, arch.dir, tech);
-    const ResolvedPoint inside{base.bounds.min_latency_cycles,
-                               base.bounds.min_area - 1.0};
-    const ResolvedPoint outside{base.bounds.min_latency_cycles + 1,
-                                base.bounds.min_area + 1.0};
-
-    const FeasibilityVerdict hit =
-        check_feasibility(f, arch.dir, tech, {outside, inside});
-    ASSERT_EQ(hit.status, FeasibilityStatus::kBounded);
-    EXPECT_EQ(hit.dominated_by, 1) << "must cite the dominating point";
-    // The cited point beats what the scheduler would actually produce:
-    // skipping this candidate loses nothing.
-    EXPECT_LE(inside.latency_cycles, actual.latency_cycles());
-    EXPECT_LT(inside.area, actual.area.total);
-
-    const FeasibilityVerdict miss =
-        check_feasibility(f, arch.dir, tech, {outside});
-    EXPECT_EQ(miss.status, FeasibilityStatus::kFeasible)
-        << "a point outside the bound box must never cause a skip";
-  }
 }
 
 TEST(Feasibility, VerdictTaxonomy) {
@@ -296,8 +236,7 @@ TEST(Feasibility, VerdictTaxonomy) {
     EXPECT_GT(v.bounds.min_area, 0.0);
     EXPECT_EQ(v.clamped.loop_directive("ffe").unroll, 2);
   }
-  // to_string covers every kind with a stable spelling (the dse_run.json
-  // "pruned" records depend on these).
+  // to_string covers every kind with a stable spelling.
   EXPECT_STREQ(to_string(InfeasibleKind::kNone), "none");
   EXPECT_STREQ(to_string(InfeasibleKind::kUnrollOverTrip), "unroll_over_trip");
   EXPECT_STREQ(to_string(InfeasibleKind::kMergeConflict), "merge_conflict");
@@ -307,63 +246,6 @@ TEST(Feasibility, VerdictTaxonomy) {
                "ii_below_recurrence");
   EXPECT_STREQ(to_string(InfeasibleKind::kIiBelowBandwidth),
                "ii_below_bandwidth");
-}
-
-// Pruning is a pure work-saver: the front must be identical name-for-name
-// with pruning on and off, and every row the pruned sweep produced must
-// exist in the unpruned sweep with the same metrics. A tight clock makes
-// the II axis hit recurrence floors, so the redirect path is live here.
-TEST(Feasibility, ExploreFrontIsIdenticalWithPruningOnAndOff) {
-  const Function f = qam::build_qam_decoder_ir();
-  const TechLibrary tech = TechLibrary::asic90();
-  DseOptions base;
-  base.clock_period_ns = 3.0;
-  base.unroll_factors = {1, 2, 4};
-  base.threads = 2;
-  base.max_configs = 1 << 20;  // non-binding: both sweeps run to completion
-
-  DseOptions on = base;
-  on.prune = true;
-  DseOptions off = base;
-  off.prune = false;
-
-  const DseResult r_on = explore(f, on, tech);
-  const DseResult r_off = explore(f, off, tech);
-
-  // Prune-off does no feasibility work at all.
-  EXPECT_EQ(r_off.pruned_infeasible, 0u);
-  EXPECT_EQ(r_off.pruned_dominated, 0u);
-  EXPECT_TRUE(r_off.pruned.empty());
-
-  // Counter bookkeeping on the pruned run.
-  EXPECT_EQ(r_on.scheduled, r_on.points.size());
-  EXPECT_EQ(r_on.pruned.size(),
-            r_on.pruned_infeasible + r_on.pruned_dominated);
-  EXPECT_GT(r_on.pruned_infeasible, 0u)
-      << "a 3ns sweep with the II axis must hit recurrence floors";
-
-  // Every pruned-sweep row appears in the unpruned sweep, same metrics.
-  std::map<std::string, const DsePoint*> off_rows;
-  for (const auto& p : r_off.points) off_rows.emplace(p.name, &p);
-  for (const auto& p : r_on.points) {
-    const auto it = off_rows.find(p.name);
-    ASSERT_NE(it, off_rows.end()) << "row missing unpruned: " << p.name;
-    EXPECT_EQ(p.latency_cycles, it->second->latency_cycles) << p.name;
-    EXPECT_DOUBLE_EQ(p.area, it->second->area) << p.name;
-  }
-
-  // The headline guarantee: identical Pareto fronts, in order.
-  const auto front_on = r_on.pareto_front();
-  const auto front_off = r_off.pareto_front();
-  ASSERT_EQ(front_on.size(), front_off.size());
-  for (std::size_t i = 0; i < front_on.size(); ++i) {
-    EXPECT_EQ(front_on[i]->name, front_off[i]->name);
-    EXPECT_EQ(front_on[i]->latency_cycles, front_off[i]->latency_cycles);
-    EXPECT_DOUBLE_EQ(front_on[i]->area, front_off[i]->area);
-  }
-
-  // And pruning saved scheduler work (or at worst matched it).
-  EXPECT_LE(r_on.cache_misses, r_off.cache_misses);
 }
 
 TEST(Feasibility, DseOptionsValidationRejectsDegenerateSweeps) {

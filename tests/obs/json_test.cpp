@@ -116,6 +116,36 @@ TEST(obs_json, ParseRejectsMalformedInput) {
   }
 }
 
+TEST(obs_json, ParseBoundsNestingDepth) {
+  const auto nested = [](int depth, char open, const char* close) {
+    std::string s;
+    for (int i = 0; i < depth; ++i) s += open == '{' ? "{\"k\":" : "[";
+    s += "0";
+    for (int i = 0; i < depth; ++i) s += close;
+    return s;
+  };
+  Json out;
+  std::string err;
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth, '[', "]"), &out, &err))
+      << err;
+  EXPECT_TRUE(Json::parse(nested(Json::kMaxDepth, '{', "}"), &out, &err))
+      << err;
+  // Siblings do not accumulate depth: only the open brackets around a
+  // value count.
+  std::string wide = "[";
+  for (int i = 0; i < 2 * Json::kMaxDepth; ++i) wide += i ? ",[]" : "[]";
+  wide += "]";
+  EXPECT_TRUE(Json::parse(wide, &out, &err)) << err;
+
+  for (const std::string& deep :
+       {nested(Json::kMaxDepth + 1, '[', "]"),
+        nested(Json::kMaxDepth + 1, '{', "}"), std::string(200'000, '[')}) {
+    err.clear();
+    EXPECT_FALSE(Json::parse(deep, &out, &err));
+    EXPECT_NE(err.find("nesting deeper than"), std::string::npos) << err;
+  }
+}
+
 TEST(obs_json, ParseAcceptsWhitespaceAroundTokens) {
   const Json j = parse_ok("  { \"a\" : [ 1 , 2 ] , \"b\" : null }  ");
   EXPECT_EQ(j.find("a")->size(), 2u);

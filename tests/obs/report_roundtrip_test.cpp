@@ -65,7 +65,7 @@ TEST(ReportRoundtrip, DseRunJson) {
   const auto r =
       hls::explore(qam::build_qam_decoder_ir(), opts, hls::TechLibrary::asic90());
   ASSERT_FALSE(r.points.empty());
-  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 2);
+  const obs::Json doc = parse_enveloped(slurp(path), "hlsw.dse", 3);
   std::remove(path.c_str());
   const obs::Json* points = doc.find("points");
   ASSERT_NE(points, nullptr);

@@ -168,6 +168,39 @@ TEST(Server, PayloadErrorsAreTypedAndLeaveTheConnectionUsable) {
   server.stop();
 }
 
+// One 200 KB frame of '[' once overflowed the JSON parser's recursion and
+// killed the daemon (and every tenant's in-flight jobs). The nesting limit
+// turns it into a typed bad_json, and the daemon keeps answering.
+TEST(Server, DeeplyNestedFrameIsBadJsonAndTheDaemonStaysUp) {
+  ServerOptions opts;
+  opts.unix_path = test_socket("deep_nesting");
+  opts.workers = 1;
+  Server server(opts);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  const int fd = connect_unix(opts.unix_path, &err);
+  ASSERT_GE(fd, 0) << err;
+  const auto roundtrip = [&](const std::string& payload) {
+    EXPECT_TRUE(write_frame(fd, payload));
+    std::string raw;
+    EXPECT_EQ(read_frame(fd, &raw), FrameStatus::kOk);
+    Json resp;
+    std::string perr;
+    EXPECT_TRUE(Json::parse(raw, &resp, &perr)) << perr;
+    return resp;
+  };
+
+  expect_error(roundtrip(std::string(200'000, '[')), "bad_json", 0);
+  const Json pong = roundtrip("{\"op\": \"ping\", \"id\": 1}");
+  ASSERT_NE(pong.find("ok"), nullptr) << pong.dump();
+  EXPECT_TRUE(pong.find("ok")->as_bool()) << pong.dump();
+  EXPECT_EQ(pong.find("id")->as_int(), 1);
+
+  close_fd(fd);
+  server.stop();
+}
+
 TEST(Server, TruncatedFrameGetsTypedReplyThenConnectionCloses) {
   ServerOptions opts;
   opts.unix_path = test_socket("truncated");

@@ -97,7 +97,7 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   }
 
   SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = Backend::kEvent;
   const hls::CosimFactory golden = [&] {
     return [in = std::make_shared<hls::Interpreter>(r.transformed)](
                const std::vector<PortIo>& ins) { return in->run_stream(ins); };

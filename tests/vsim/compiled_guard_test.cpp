@@ -49,7 +49,7 @@ TEST(VsimCompiledGuard, CompiledBeatsEventByAtLeast2xOnMergeArch) {
   const auto batch = qam::link_input_batch(&stim, 60);
 
   SimConfig event_cfg;
-  event_cfg.compiled = false;
+  event_cfg.backend = Backend::kEvent;
   DutHarness event_dut(r.transformed, design, event_cfg);
   DutHarness compiled_dut(r.transformed, design);
   ASSERT_STREQ(event_dut.sim().backend(), "event");

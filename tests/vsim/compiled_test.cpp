@@ -28,7 +28,7 @@ std::unique_ptr<Simulation> make_sim(const std::string& src,
 
 SimConfig event_cfg() {
   SimConfig cfg;
-  cfg.compiled = false;
+  cfg.backend = Backend::kEvent;
   return cfg;
 }
 
