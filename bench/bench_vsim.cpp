@@ -83,11 +83,12 @@ void run_harness_sections(bench::Harness* h) {
     for (const auto& in : batch) benchmark::DoNotOptimize(dut.run(in));
   });
 
-  // Codegen backend: same harness loop through the generated .so. The
-  // first construction pays generate+compile+dlopen (absorbed by warmup;
-  // later reps hit the on-disk cache); on toolchain-less machines this
-  // silently measures the compiled-interpreter fallback — the note records
-  // which backend actually ran.
+  // Codegen backend: same harness loop through the generated .so (the
+  // lane-major engine at one lane). The first construction pays
+  // generate+compile+dlopen (absorbed by warmup; later reps hit the on-disk
+  // cache); on toolchain-less machines this silently measures the
+  // compiled-interpreter fallback — the note records which backend
+  // actually ran.
   vsim::SimConfig codegen_cfg;
   codegen_cfg.backend = vsim::Backend::kCodegen;
   std::string codegen_backend = "unknown";
@@ -156,8 +157,7 @@ void run_harness_sections(bench::Harness* h) {
   // scalar compiled sweep vs 8- and 64-lane packed runs of the SAME
   // blocks. The interpreted-packed legs pin Backend::kCompiled (kAuto now
   // prefers the generated lane-major engine, which would silently change
-  // this baseline); the packed-codegen legs request kPackedCodegen
-  // explicitly. Every full-sweep leg shares the batched golden reference
+  // this baseline); the packed-codegen legs request kCodegen explicitly. Every full-sweep leg shares the batched golden reference
   // (one interpreter context per batch, reset between lanes), so the
   // packed-vs-packed gap below is pure DUT-engine difference. Throughput
   // is reported per lane so the lane-scaling efficiency is visible next to
@@ -165,7 +165,7 @@ void run_harness_sections(bench::Harness* h) {
   vsim::SimConfig interp_packed_cfg;
   interp_packed_cfg.backend = vsim::Backend::kCompiled;
   vsim::SimConfig packed_cg_cfg;
-  packed_cg_cfg.backend = vsim::Backend::kPackedCodegen;
+  packed_cg_cfg.backend = vsim::Backend::kCodegen;
   const int kSweepSymbols = 1600;
   const std::size_t kSweepBlock = 25;
   const std::vector<PortIo> sweep_batch =

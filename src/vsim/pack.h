@@ -195,11 +195,11 @@ class PackedSim : public PackedEngine {
 // lane in the masked pokes, preserving bit-identity with per-lane scalar
 // replay.
 //
-// Engine selection: kAuto/kCodegen/kPackedCodegen try the generated
-// lane-major engine (PackedCodegenSim) first and degrade to the
-// interpreted PackedSim with a "packed-codegen: " prefixed
-// fallback_reason(); kEvent/kCompiled force the interpreted tier (the
-// benchmarks use this to keep the interpreted baseline measurable).
+// Engine selection: kAuto/kCodegen try the generated lane-major engine
+// (PackedCodegenSim) first and degrade to the interpreted PackedSim with a
+// "packed-codegen: " prefixed fallback_reason(); kEvent/kCompiled force
+// the interpreted tier (the benchmarks use this to keep the interpreted
+// baseline measurable).
 class PackedDutHarness {
  public:
   PackedDutHarness(const hls::Function& f,

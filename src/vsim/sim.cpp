@@ -240,25 +240,19 @@ Simulation::Simulation(std::shared_ptr<const Design> design,
     : design_(std::move(design)), cfg_(cfg) {
   Backend want = cfg_.backend;
   if (want == Backend::kAuto) want = Backend::kCompiled;
-  if (want == Backend::kPackedCodegen) {
-    // The packed tiers only exist inside PackedDutHarness (lanes > 1); a
-    // scalar Simulation degrades straight through the codegen tier.
-    fallback_reason_ =
-        "packed-codegen: multi-lane engine needs PackedDutHarness "
-        "(scalar Simulation has one lane)";
-    want = Backend::kCodegen;
-  }
   if (want == Backend::kCodegen) {
-    // Top tier: generated + dlopen'd native engine. Degrades to the
-    // compiled interpreter when no host toolchain is available or the
-    // design uses constructs codegen refuses ($display, VCD dumping).
+    // Top tier: the generated lane-major engine at one lane. Degrades to
+    // the compiled interpreter when the design does not cycle-schedule, no
+    // host toolchain is available or the design uses constructs codegen
+    // refuses ($display, VCD dumping).
     std::string why;
-    if (auto mod = codegen_plan(design_, &why)) {
-      codegen_ = std::make_unique<CodegenSim>(std::move(mod), cfg_);
-      return;
+    if (auto plan = compiled_plan(design_, &why)) {
+      if (auto mod = packed_codegen_plan(plan, 1, &why)) {
+        codegen_ = std::make_unique<PackedCodegenSim>(std::move(mod), cfg_);
+        return;
+      }
     }
-    if (!fallback_reason_.empty()) fallback_reason_ += "; ";
-    fallback_reason_ += "codegen: " + why;
+    fallback_reason_ = "codegen: " + why;
     want = Backend::kCompiled;
   }
   if (want == Backend::kCompiled) {
@@ -716,7 +710,14 @@ void Simulation::settle() {
 }
 
 RunResult Simulation::run() {
-  if (codegen_) return codegen_->run();
+  if (codegen_) {
+    // No timers on the generated engine: settle and report. Its event and
+    // NBA totals reach the metrics once, when the engine is destroyed.
+    obs::ScopedSpan span("vsim.run", "vsim");
+    if (span.active()) span.arg("backend", "codegen");
+    codegen_->settle();
+    return {};
+  }
   if (compiled_) return compiled_->run();
   obs::ScopedSpan span("vsim.run", "vsim");
   const bool metrics = obs::enabled();
@@ -781,7 +782,7 @@ long long Simulation::peek_signed(const std::string& name) const {
 unsigned long long Simulation::peek_elem(const std::string& name,
                                          int index) const {
   const int sig = require(name);
-  if (codegen_) return codegen_->peek_elem(sig, index);
+  if (codegen_) return codegen_->peek_elem(sig, index, 0);
   if (compiled_) return compiled_->peek_elem(sig, index);
   const auto& a = arr_[static_cast<size_t>(sig)];
   if (index < 0 || index >= static_cast<int>(a.size()))
@@ -796,7 +797,7 @@ int Simulation::signal_handle(const std::string& name) const {
 
 void Simulation::poke(int sig, unsigned long long value) {
   if (codegen_) {
-    codegen_->poke(sig, value);
+    codegen_->poke(sig, value, 1);
     return;
   }
   if (compiled_) {
@@ -807,20 +808,20 @@ void Simulation::poke(int sig, unsigned long long value) {
 }
 
 unsigned long long Simulation::peek(int sig) const {
-  if (codegen_) return codegen_->peek(sig);
+  if (codegen_) return codegen_->peek(sig, 0);
   if (compiled_) return compiled_->peek(sig);
   return val_[static_cast<size_t>(sig)];
 }
 
 long long Simulation::peek_signed(int sig) const {
-  if (codegen_) return codegen_->peek_signed(sig);
+  if (codegen_) return codegen_->peek_signed(sig, 0);
   if (compiled_) return compiled_->peek_signed(sig);
   return s64(val_[static_cast<size_t>(sig)],
              design_->signals[static_cast<size_t>(sig)].width);
 }
 
 long long Simulation::now() const {
-  if (codegen_) return codegen_->now();
+  if (codegen_) return 0;
   return compiled_ ? compiled_->now() : time_;
 }
 
@@ -830,7 +831,6 @@ const SimStats& Simulation::stats() const {
 }
 
 const std::vector<std::string>& Simulation::display_log() const {
-  if (codegen_) return codegen_->display_log();
   return compiled_ ? compiled_->display_log() : display_;
 }
 

@@ -28,20 +28,20 @@ namespace hlsw::vsim {
 // Execution engine selection. For a scalar Simulation, kAuto means the
 // compiled interpreter when the design cycle-schedules, the event kernel
 // otherwise (designs with time control, $finish/$stop or zero-delay
-// feedback); multi-lane harnesses try packed codegen first. Each tier
-// degrades silently down the chain
-//   packed-codegen -> packed-interp -> codegen -> compiled -> event
-// with the reason recorded in fallback_reason() (Simulation, or
-// PackedDutHarness for the multi-lane tiers). The two packed tiers only
-// exist inside PackedSim/PackedDutHarness (lanes > 1); a scalar Simulation
-// asked for kPackedCodegen degrades straight through the codegen tier with
-// a "packed-codegen: " prefixed reason.
+// feedback); multi-lane harnesses (PackedDutHarness) try the generated
+// engine first under anything but kEvent/kCompiled. kCodegen runs the one
+// generated lane-major engine (codegen.h): at one lane in a Simulation, at
+// the harness's lane count in PackedDutHarness. Each tier degrades
+// silently down the chain
+//   codegen -> compiled -> event            (Simulation)
+//   codegen -> interpreted packed engine    (PackedDutHarness)
+// with the reason recorded in fallback_reason(), prefixed "codegen: " or
+// "packed-codegen: " respectively.
 enum class Backend {
   kAuto,      // the default: see above
   kEvent,     // stratified event kernel (sim.cpp)
   kCompiled,  // levelized tape interpreter (compile.cpp)
-  kCodegen,   // generated + dlopen'd native engine (codegen.cpp)
-  kPackedCodegen,  // generated lane-major engine (codegen.cpp + pack.cpp)
+  kCodegen,   // generated + dlopen'd lane-major engine (codegen.cpp)
 };
 
 struct SimConfig {
@@ -71,7 +71,7 @@ struct RunResult {
 };
 
 class CompiledSim;
-class CodegenSim;
+class PackedCodegenSim;
 
 class Simulation {
  public:
@@ -152,9 +152,10 @@ class Simulation {
   // every public entry point dispatches to it. The event-kernel state
   // below stays unconstructed in that case.
   std::unique_ptr<CompiledSim> compiled_;
-  // Non-null when the generated native engine executes this design; takes
-  // precedence over compiled_ (at most one of the two is set).
-  std::unique_ptr<CodegenSim> codegen_;
+  // Non-null when the generated native engine executes this design, at
+  // one lane; takes precedence over compiled_ (at most one of the two is
+  // set).
+  std::unique_ptr<PackedCodegenSim> codegen_;
   std::string fallback_reason_;
   std::vector<std::uint64_t> val_;
   std::vector<std::vector<std::uint64_t>> arr_;

@@ -1,8 +1,8 @@
-// The acceptance gate of the compiled-, codegen- and packed-codegen-backend
-// PRs: for every exploration and Table 1 architecture — and randomized
-// directive sets — the emitted Verilog TEXT executed by the compiled
-// cycle-based backend, the generated-native codegen backend and the
-// lane-major packed-codegen backend must match the event-driven backend,
+// The acceptance gate of the compiled and codegen backends: for every
+// exploration and Table 1 architecture — and randomized directive sets —
+// the emitted Verilog TEXT executed by the compiled cycle-based backend and
+// the generated lane-major engine, at one lane (Simulation, kCodegen) and
+// at two (PackedDutHarness), must match the event-driven backend,
 // the untimed interpreter golden and the cycle-accurate rtl::Simulator
 // bit-for-bit (cosim_sweep_nway over all six legs), and the VCD bytes a
 // dumping session records must be identical between the event kernel and
@@ -51,7 +51,7 @@ using qam::LinkStimulus;
 // shared elaborated Design is load_design()ed ONCE and every vsim leg
 // reuses it — the battery never re-parses per leg. The packed leg runs the
 // block twice through a 2-lane engine and returns lane 0, so lane masking
-// itself is inside the differential, not just the scalar ABI.
+// itself is inside the differential, not just the one-lane engine.
 void run_six_way_battery(const Directives& dir, const std::string& name,
                          int symbols) {
   const auto r =
@@ -73,11 +73,13 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   codegen_cfg.backend = Backend::kCodegen;
   {
     Simulation probe(design, codegen_cfg);
-    if (codegen_available())
+    if (codegen_available()) {
       ASSERT_STREQ(probe.backend(), "codegen")
           << name << ": fell back: " << probe.fallback_reason();
-    else
+      EXPECT_EQ(probe.fallback_reason(), "") << name;
+    } else {
       ASSERT_STREQ(probe.backend(), "compiled") << name;
+    }
   }
   // The packed leg needs the shared compiled plan; with a toolchain it must
   // run the generated lane-major engine, without one the interpreted packed
@@ -86,7 +88,7 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   const auto plan = compiled_plan(design, &plan_why);
   ASSERT_NE(plan, nullptr) << name << ": " << plan_why;
   SimConfig packed_cfg;
-  packed_cfg.backend = Backend::kPackedCodegen;
+  packed_cfg.backend = Backend::kCodegen;
   {
     PackedDutHarness probe(r.transformed, plan, 2, packed_cfg);
     if (codegen_available())

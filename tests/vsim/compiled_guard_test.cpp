@@ -198,7 +198,7 @@ TEST(VsimPackedGuard, PackedCodegenBeatsInterpretedPackedByAtLeast2x) {
   SimConfig interp_cfg;
   interp_cfg.backend = Backend::kCompiled;  // pin the interpreted tier
   SimConfig cg_cfg;
-  cg_cfg.backend = Backend::kPackedCodegen;
+  cg_cfg.backend = Backend::kCodegen;
   {
     PackedDutHarness probe(r.transformed, plan, kLanes, cg_cfg);
     ASSERT_STREQ(probe.backend(), "packed_codegen")
