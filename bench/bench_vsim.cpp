@@ -43,10 +43,11 @@ void run_harness_sections(bench::Harness* h) {
   const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
 
   // Front end: source text -> AST -> elaborated netlist.
-  h->measure("parse_emitted_module",
-             [&] { benchmark::DoNotOptimize(vsim::parse(verilog)); });
+  const auto t_parse = h->measure(
+      "parse_emitted_module",
+      [&] { benchmark::DoNotOptimize(vsim::parse(verilog)); });
   const auto su = vsim::parse(verilog);
-  h->measure("elaborate_emitted_module", [&] {
+  const auto t_elab = h->measure("elaborate_emitted_module", [&] {
     benchmark::DoNotOptimize(vsim::elaborate(su, r.transformed.name));
   });
   auto design = vsim::elaborate(su, r.transformed.name);
@@ -265,6 +266,7 @@ void run_harness_sections(bench::Harness* h) {
                         .set("codegen_backend", codegen_backend)
                         .set("packed_codegen_backend", packed_cg_backend)
                         .set("testbench_passed", tb_passed));
+  h->note("ratio_parse_vs_elaborate", t_parse.min_ms / t_elab.min_ms);
   h->note("slowdown_vsim_vs_rtl_sim", t_vsim.min_ms / t_rtl.min_ms);
   h->note("overhead_instrumented_vs_plain",
           t_vsim_inst.min_ms / t_vsim.min_ms);

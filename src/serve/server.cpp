@@ -13,6 +13,8 @@
 #include "vsim/lint.h"
 #include "vsim/profile.h"
 
+#include <system_error>
+
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -147,7 +149,7 @@ void Server::stop() {
   sched_.drain();
   {
     std::lock_guard<std::mutex> lock(coord_mu_);
-    for (std::thread& t : coordinators_) t.join();
+    for (Coordinator& co : coordinators_) co.thread.join();
     coordinators_.clear();
   }
   // 4. Destroying the pool joins the workers, which exit once the
@@ -306,16 +308,16 @@ void Server::handle_frame(const std::shared_ptr<Connection>& c,
   // their own shards. A bounded side thread keeps every worker free to
   // execute units.
   if (op == "dse") {
+    const auto busy = [&](const std::string& why) {
+      ++busy_rejections_;
+      obs::MetricsRegistry::instance().add("serve.busy_rejections");
+      send_json(c, make_error(id, "busy", why, "serve.dse"));
+    };
     int active = active_coordinators_.load();
     do {
       if (active >= opts_.max_dse_coordinators) {
-        ++busy_rejections_;
-        obs::MetricsRegistry::instance().add("serve.busy_rejections");
-        send_json(c, make_error(id, "busy",
-                                "all " +
-                                    std::to_string(opts_.max_dse_coordinators) +
-                                    " dse coordinators are in use",
-                                "serve.dse"));
+        busy("all " + std::to_string(opts_.max_dse_coordinators) +
+             " dse coordinators are in use");
         return;
       }
     } while (!active_coordinators_.compare_exchange_weak(active, active + 1));
@@ -325,13 +327,32 @@ void Server::handle_frame(const std::shared_ptr<Connection>& c,
                               "serve.dse"));
       return;
     }
-    ++jobs_accepted_;
-    std::lock_guard<std::mutex> lock(coord_mu_);
-    coordinators_.emplace_back(
-        [this, c, req = std::move(req), op, tenant, id]() mutable {
+    bool started = false;
+    {
+      std::lock_guard<std::mutex> lock(coord_mu_);
+      join_finished_coordinators();
+      auto done = std::make_shared<std::atomic<bool>>(false);
+      try {
+        coordinators_.reserve(coordinators_.size() + 1);
+        std::thread t([this, c, req = std::move(req), op, tenant, id,
+                       done]() mutable {
           execute_job(c, std::move(req), op, tenant, id);
           active_coordinators_.fetch_sub(1);
+          done->store(true);
         });
+        coordinators_.push_back({std::move(t), std::move(done)});
+        started = true;
+      } catch (const std::system_error&) {
+        // No thread could be created: refuse like a full coordinator pool
+        // instead of letting the exception end the daemon.
+        active_coordinators_.fetch_sub(1);
+      }
+    }
+    if (!started) {
+      busy("could not start a dse coordinator thread");
+      return;
+    }
+    ++jobs_accepted_;
     return;
   }
 
@@ -358,6 +379,14 @@ void Server::handle_frame(const std::shared_ptr<Connection>& c,
                               "serve.schedule"));
       return;
   }
+}
+
+void Server::join_finished_coordinators() {
+  for (Coordinator& co : coordinators_)
+    if (co.done->load()) co.thread.join();
+  std::erase_if(coordinators_, [](const Coordinator& co) {
+    return !co.thread.joinable();
+  });
 }
 
 void Server::execute_job(const std::shared_ptr<Connection>& c, Json req,
@@ -647,6 +676,11 @@ Json Server::metrics_json() const {
   const double hits = m.counter_value("serve.synth_cache.hits");
   const double misses = m.counter_value("serve.synth_cache.misses");
   const double lookups = hits + misses;
+  long long coordinators_held = 0;
+  {
+    std::lock_guard<std::mutex> lock(coord_mu_);
+    coordinators_held = static_cast<long long>(coordinators_.size());
+  }
   Json depths = Json::object();
   for (const auto& [tenant, depth] : sched_.queue_depths())
     depths.set(tenant, static_cast<long long>(depth));
@@ -660,6 +694,11 @@ Json Server::metrics_json() const {
                            .set("busy_rejections", busy_rejections_.load())
                            .set("protocol_errors", protocol_errors_.load()))
           .set("queue_depths", std::move(depths))
+          .set("dse_coordinators",
+               Json::object()
+                   .set("held", coordinators_held)
+                   .set("active",
+                        static_cast<long long>(active_coordinators_.load())))
           .set("synth_cache",
                Json::object()
                    .set("size", static_cast<long long>(synth_cache_->size()))

@@ -181,8 +181,17 @@ class Server {
   std::vector<std::shared_ptr<Connection>> conns_;
   std::vector<std::thread> conn_threads_;
 
+  // One DSE coordinator thread; `done` is set once its job has returned,
+  // so the next dse request can join it instead of holding it until stop().
+  struct Coordinator {
+    std::thread thread;
+    std::shared_ptr<std::atomic<bool>> done;
+  };
+  // Joins every coordinator whose job has returned. Caller holds coord_mu_.
+  void join_finished_coordinators();
+
   mutable std::mutex coord_mu_;
-  std::vector<std::thread> coordinators_;
+  std::vector<Coordinator> coordinators_;
   std::atomic<int> active_coordinators_{0};
 
   mutable std::mutex design_mu_;

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <stdexcept>
+#include <string_view>
 
 #include "vsim/lexer.h"
 
@@ -33,34 +34,33 @@ class Parser {
                              std::to_string(cur().line) + ": " + what);
   }
 
-  bool is_sym(const char* s) const {
-    return cur().kind == Tok::kSymbol && cur().text == s;
-  }
-  bool is_kw(const char* s) const {
+  bool is_sym(Op op) const { return cur().op == op; }
+  bool is_kw(std::string_view s) const {
     return cur().kind == Tok::kIdent && cur().text == s;
   }
-  Token take() { return toks_[pos_++]; }
-  void expect_sym(const char* s) {
-    if (!is_sym(s)) fail(std::string("expected '") + s + "'");
+  const Token& take() { return toks_[pos_++]; }
+  void expect_sym(Op op) {
+    if (!is_sym(op))
+      fail("expected '" + std::string(op_info(op).spelling) + "'");
     ++pos_;
   }
-  void expect_kw(const char* s) {
-    if (!is_kw(s)) fail(std::string("expected keyword '") + s + "'");
+  void expect_kw(std::string_view s) {
+    if (!is_kw(s)) fail("expected keyword '" + std::string(s) + "'");
     ++pos_;
   }
-  bool eat_sym(const char* s) {
-    if (!is_sym(s)) return false;
+  bool eat_sym(Op op) {
+    if (!is_sym(op)) return false;
     ++pos_;
     return true;
   }
-  bool eat_kw(const char* s) {
+  bool eat_kw(std::string_view s) {
     if (!is_kw(s)) return false;
     ++pos_;
     return true;
   }
   std::string expect_ident() {
     if (cur().kind != Tok::kIdent) fail("expected identifier");
-    return take().text;
+    return std::string(take().text);
   }
 
   long long const_int(const ExprPtr& e) const {
@@ -106,8 +106,8 @@ class Parser {
     expect_kw("module");
     Module m;
     m.name = expect_ident();
-    if (eat_sym("(")) parse_ansi_ports(&m);
-    expect_sym(";");
+    if (eat_sym(Op::kLParen)) parse_ansi_ports(&m);
+    expect_sym(Op::kSemi);
     while (!eat_kw("endmodule")) {
       if (at_eof()) fail("unexpected end of file inside module");
       parse_module_item(&m);
@@ -116,7 +116,7 @@ class Parser {
   }
 
   void parse_ansi_ports(Module* m) {
-    if (eat_sym(")")) return;
+    if (eat_sym(Op::kRParen)) return;
     do {
       NetDecl d;
       if (eat_kw("input")) d.is_input = true;
@@ -129,17 +129,17 @@ class Parser {
       d.name = expect_ident();
       m->port_order.push_back(d.name);
       m->nets.push_back(std::move(d));
-    } while (eat_sym(","));
-    expect_sym(")");
+    } while (eat_sym(Op::kComma));
+    expect_sym(Op::kRParen);
   }
 
   // Returns the width of an optional [msb:lsb] range (1 when absent).
   int parse_opt_range() {
-    if (!eat_sym("[")) return 1;
+    if (!eat_sym(Op::kLBracket)) return 1;
     const long long msb = const_int(parse_expr());
-    expect_sym(":");
+    expect_sym(Op::kColon);
     const long long lsb = const_int(parse_expr());
-    expect_sym("]");
+    expect_sym(Op::kRBracket);
     if (lsb != 0 || msb < 0 || msb > 63)
       fail("only [msb:0] ranges with msb<=63 are supported");
     return static_cast<int>(msb) + 1;
@@ -153,22 +153,22 @@ class Parser {
     if (eat_kw("localparam")) {
       do {
         // Optional range on the localparam itself; the value is what counts.
-        if (is_sym("[")) parse_opt_range();
+        if (is_sym(Op::kLBracket)) parse_opt_range();
         const std::string name = expect_ident();
-        expect_sym("=");
+        expect_sym(Op::kAssign);
         const long long v = const_int(parse_expr());
         params_[name] = v;
         m->localparams.emplace_back(name, v);
-      } while (eat_sym(","));
-      expect_sym(";");
+      } while (eat_sym(Op::kComma));
+      expect_sym(Op::kSemi);
       return;
     }
     if (eat_kw("assign")) {
       ContAssign a;
       a.lhs = parse_lvalue();
-      expect_sym("=");
+      expect_sym(Op::kAssign);
       a.rhs = parse_expr();
-      expect_sym(";");
+      expect_sym(Op::kSemi);
       m->assigns.push_back(std::move(a));
       return;
     }
@@ -185,11 +185,11 @@ class Parser {
       return;
     }
     if (cur().kind == Tok::kIdent && ahead(1).kind == Tok::kIdent &&
-        ahead(2).kind == Tok::kSymbol && ahead(2).text == "(") {
+        ahead(2).op == Op::kLParen) {
       m->instances.push_back(parse_instance());
       return;
     }
-    fail("unsupported module item '" + cur().text + "'");
+    fail("unsupported module item '" + token_text(cur()) + "'");
   }
 
   void parse_net_decl(Module* m) {
@@ -207,28 +207,28 @@ class Parser {
     do {
       NetDecl d = base;
       d.name = expect_ident();
-      if (eat_sym("[")) {  // register file: [0:N-1]
+      if (eat_sym(Op::kLBracket)) {  // register file: [0:N-1]
         const long long lo = const_int(parse_expr());
-        expect_sym(":");
+        expect_sym(Op::kColon);
         const long long hi = const_int(parse_expr());
-        expect_sym("]");
+        expect_sym(Op::kRBracket);
         if (lo != 0 || hi < 0) fail("array bounds must be [0:N-1]");
         d.array_len = static_cast<int>(hi) + 1;
       }
-      if (eat_sym("=")) {
+      if (eat_sym(Op::kAssign)) {
         d.has_init = true;
         d.init = const_int(parse_expr());
       }
       m->nets.push_back(std::move(d));
-    } while (eat_sym(","));
-    expect_sym(";");
+    } while (eat_sym(Op::kComma));
+    expect_sym(Op::kSemi);
   }
 
   TaskDecl parse_task() {
     TaskDecl t;
     t.name = expect_ident();
-    if (eat_sym("(")) {
-      if (!is_sym(")")) {
+    if (eat_sym(Op::kLParen)) {
+      if (!is_sym(Op::kRParen)) {
         do {
           NetDecl a;
           expect_kw("input");
@@ -243,11 +243,11 @@ class Parser {
           a.is_reg = true;
           a.name = expect_ident();
           t.args.push_back(std::move(a));
-        } while (eat_sym(","));
+        } while (eat_sym(Op::kComma));
       }
-      expect_sym(")");
+      expect_sym(Op::kRParen);
     }
-    expect_sym(";");
+    expect_sym(Op::kSemi);
     t.body = parse_stmt();
     expect_kw("endtask");
     return t;
@@ -257,27 +257,27 @@ class Parser {
     Instance inst;
     inst.module_name = expect_ident();
     inst.inst_name = expect_ident();
-    expect_sym("(");
-    if (!is_sym(")")) {
+    expect_sym(Op::kLParen);
+    if (!is_sym(Op::kRParen)) {
       do {
-        expect_sym(".");
+        expect_sym(Op::kDot);
         PortConn pc;
         pc.port = expect_ident();
-        expect_sym("(");
-        if (!is_sym(")")) pc.expr = parse_expr();
-        expect_sym(")");
+        expect_sym(Op::kLParen);
+        if (!is_sym(Op::kRParen)) pc.expr = parse_expr();
+        expect_sym(Op::kRParen);
         inst.conns.push_back(std::move(pc));
-      } while (eat_sym(","));
+      } while (eat_sym(Op::kComma));
     }
-    expect_sym(")");
-    expect_sym(";");
+    expect_sym(Op::kRParen);
+    expect_sym(Op::kSemi);
     return inst;
   }
 
   // ---- Statements ----------------------------------------------------------
   StmtPtr parse_stmt() {
     auto st = std::make_shared<Stmt>();
-    if (eat_sym(";")) {
+    if (eat_sym(Op::kSemi)) {
       st->kind = StmtKind::kNull;
       return st;
     }
@@ -291,28 +291,28 @@ class Parser {
     }
     if (eat_kw("if")) {
       st->kind = StmtKind::kIf;
-      expect_sym("(");
+      expect_sym(Op::kLParen);
       st->cond = parse_expr();
-      expect_sym(")");
+      expect_sym(Op::kRParen);
       st->sub.push_back(parse_stmt());
       if (eat_kw("else")) st->sub.push_back(parse_stmt());
       return st;
     }
     if (eat_kw("case")) {
       st->kind = StmtKind::kCase;
-      expect_sym("(");
+      expect_sym(Op::kLParen);
       st->cond = parse_expr();
-      expect_sym(")");
+      expect_sym(Op::kRParen);
       while (!eat_kw("endcase")) {
         if (at_eof()) fail("unexpected end of file inside case");
         CaseItem item;
         if (eat_kw("default")) {
           item.is_default = true;
-          eat_sym(":");
+          eat_sym(Op::kColon);
         } else {
           do item.labels.push_back(parse_expr());
-          while (eat_sym(","));
-          expect_sym(":");
+          while (eat_sym(Op::kComma));
+          expect_sym(Op::kColon);
         }
         item.body = parse_stmt();
         st->items.push_back(std::move(item));
@@ -321,9 +321,9 @@ class Parser {
     }
     if (eat_kw("repeat")) {
       st->kind = StmtKind::kRepeat;
-      expect_sym("(");
+      expect_sym(Op::kLParen);
       st->cond = parse_expr();
-      expect_sym(")");
+      expect_sym(Op::kRParen);
       st->sub.push_back(parse_stmt());
       return st;
     }
@@ -332,20 +332,20 @@ class Parser {
       st->sub.push_back(parse_stmt());
       return st;
     }
-    if (eat_sym("@")) {
+    if (eat_sym(Op::kAt)) {
       st->kind = StmtKind::kEventCtrl;
-      expect_sym("(");
+      expect_sym(Op::kLParen);
       do {
         Edge e = Edge::kAny;
         if (eat_kw("posedge")) e = Edge::kPos;
         else if (eat_kw("negedge")) e = Edge::kNeg;
         st->events.emplace_back(e, parse_expr());
-      } while (eat_kw("or") || eat_sym(","));
-      expect_sym(")");
+      } while (eat_kw("or") || eat_sym(Op::kComma));
+      expect_sym(Op::kRParen);
       st->sub.push_back(parse_stmt());
       return st;
     }
-    if (eat_sym("#")) {
+    if (eat_sym(Op::kHash)) {
       st->kind = StmtKind::kDelay;
       if (cur().kind != Tok::kNumber) fail("expected delay value after '#'");
       st->delay = static_cast<double>(take().value);
@@ -354,42 +354,41 @@ class Parser {
     }
     if (cur().kind == Tok::kSysName) {
       st->kind = StmtKind::kSysTask;
-      st->callee = take().text;
-      if (eat_sym("(")) {
-        if (!is_sym(")")) {
+      st->callee = std::string(take().text);
+      if (eat_sym(Op::kLParen)) {
+        if (!is_sym(Op::kRParen)) {
           do st->args.push_back(parse_expr());
-          while (eat_sym(","));
+          while (eat_sym(Op::kComma));
         }
-        expect_sym(")");
+        expect_sym(Op::kRParen);
       }
-      expect_sym(";");
+      expect_sym(Op::kSemi);
       return st;
     }
     if (cur().kind == Tok::kIdent) {
       // Either a task enable `name(...);` or an assignment.
-      if (ahead(1).kind == Tok::kSymbol &&
-          (ahead(1).text == "(" || ahead(1).text == ";")) {
+      if (ahead(1).op == Op::kLParen || ahead(1).op == Op::kSemi) {
         st->kind = StmtKind::kTaskCall;
-        st->callee = take().text;
-        if (eat_sym("(")) {
-          if (!is_sym(")")) {
+        st->callee = std::string(take().text);
+        if (eat_sym(Op::kLParen)) {
+          if (!is_sym(Op::kRParen)) {
             do st->args.push_back(parse_expr());
-            while (eat_sym(","));
+            while (eat_sym(Op::kComma));
           }
-          expect_sym(")");
+          expect_sym(Op::kRParen);
         }
-        expect_sym(";");
+        expect_sym(Op::kSemi);
         return st;
       }
       st->lhs = parse_lvalue();
-      if (eat_sym("=")) st->kind = StmtKind::kBlockingAssign;
-      else if (eat_sym("<=")) st->kind = StmtKind::kNbAssign;
+      if (eat_sym(Op::kAssign)) st->kind = StmtKind::kBlockingAssign;
+      else if (eat_sym(Op::kLe)) st->kind = StmtKind::kNbAssign;
       else fail("expected '=' or '<=' in assignment");
       st->rhs = parse_expr();
-      expect_sym(";");
+      expect_sym(Op::kSemi);
       return st;
     }
-    fail("unsupported statement starting at '" + cur().text + "'");
+    fail("unsupported statement starting at '" + token_text(cur()) + "'");
   }
 
   // LHS of an assignment: identifier with optional single element select.
@@ -397,12 +396,12 @@ class Parser {
     auto id = std::make_shared<Expr>();
     id->kind = ExprKind::kIdent;
     id->name = expect_ident();
-    if (eat_sym("[")) {
+    if (eat_sym(Op::kLBracket)) {
       auto sel = std::make_shared<Expr>();
       sel->kind = ExprKind::kSelect;
       sel->kids.push_back(std::move(id));
       sel->kids.push_back(parse_expr());
-      expect_sym("]");
+      expect_sym(Op::kRBracket);
       return sel;
     }
     return id;
@@ -413,84 +412,66 @@ class Parser {
 
   ExprPtr parse_ternary() {
     ExprPtr c = parse_binary(0);
-    if (!eat_sym("?")) return c;
+    if (!eat_sym(Op::kQuestion)) return c;
     auto e = std::make_shared<Expr>();
     e->kind = ExprKind::kTernary;
     e->kids.push_back(std::move(c));
     e->kids.push_back(parse_ternary());
-    expect_sym(":");
+    expect_sym(Op::kColon);
     e->kids.push_back(parse_ternary());
     return e;
   }
 
-  // Binary precedence tiers, loosest first.
-  static int tier_of(const std::string& op) {
-    if (op == "||") return 0;
-    if (op == "&&") return 1;
-    if (op == "|") return 2;
-    if (op == "^" || op == "~^" || op == "^~") return 3;
-    if (op == "&") return 4;
-    if (op == "==" || op == "!=" || op == "===" || op == "!==") return 5;
-    if (op == "<" || op == "<=" || op == ">" || op == ">=") return 6;
-    if (op == "<<" || op == ">>" || op == "<<<" || op == ">>>") return 7;
-    if (op == "+" || op == "-") return 8;
-    if (op == "*" || op == "/" || op == "%") return 9;
-    return -1;
-  }
-  static constexpr int kTiers = 10;
-
-  ExprPtr parse_binary(int tier) {
-    if (tier >= kTiers) return parse_unary();
-    ExprPtr lhs = parse_binary(tier + 1);
-    while (cur().kind == Tok::kSymbol && tier_of(cur().text) == tier) {
+  // Binary operators at precedence tier min_prec or tighter (tiers and
+  // unary-ness come from the lexer's operator table), left associative.
+  ExprPtr parse_binary(int min_prec) {
+    ExprPtr lhs = parse_unary();
+    for (;;) {
+      const OpInfo& op = op_info(cur().op);
+      if (op.prec < min_prec) return lhs;
+      ++pos_;
       auto e = std::make_shared<Expr>();
       e->kind = ExprKind::kBinary;
-      e->name = take().text;
+      e->name = op.spelling;
       e->kids.push_back(std::move(lhs));
-      e->kids.push_back(parse_binary(tier + 1));
+      e->kids.push_back(parse_binary(op.prec + 1));
       lhs = std::move(e);
     }
-    return lhs;
   }
 
   ExprPtr parse_unary() {
-    if (cur().kind == Tok::kSymbol) {
-      const std::string& s = cur().text;
-      if (s == "-" || s == "+" || s == "~" || s == "!" || s == "&" ||
-          s == "|" || s == "^" || s == "~&" || s == "~|" || s == "~^" ||
-          s == "^~") {
-        auto e = std::make_shared<Expr>();
-        e->kind = ExprKind::kUnary;
-        e->name = take().text;
-        e->kids.push_back(parse_unary());
-        return e;
-      }
-    }
-    return parse_postfix();
+    const OpInfo& op = op_info(cur().op);
+    if (!op.unary) return parse_postfix();
+    ++pos_;
+    auto e = std::make_shared<Expr>();
+    e->kind = ExprKind::kUnary;
+    e->name = op.spelling;
+    e->kids.push_back(parse_unary());
+    return e;
   }
 
   ExprPtr parse_postfix() {
     ExprPtr e = parse_primary();
     // Element/bit selects and part selects, possibly chained (m[i][b]).
-    while (is_sym("[")) {
+    while (is_sym(Op::kLBracket)) {
       if (e->kind != ExprKind::kIdent && e->kind != ExprKind::kSelect)
         fail("select applied to a non-identifier expression");
       ++pos_;
       ExprPtr first = parse_expr();
-      if (eat_sym(":")) {
+      if (eat_sym(Op::kColon)) {
         auto r = std::make_shared<Expr>();
         r->kind = ExprKind::kRange;
         r->kids.push_back(std::move(e));
         r->kids.push_back(std::move(first));
         r->kids.push_back(parse_expr());
-        expect_sym("]");
+        expect_sym(Op::kRBracket);
         e = std::move(r);
       } else {
         auto s = std::make_shared<Expr>();
         s->kind = ExprKind::kSelect;
         s->kids.push_back(std::move(e));
         s->kids.push_back(std::move(first));
-        expect_sym("]");
+        expect_sym(Op::kRBracket);
         e = std::move(s);
       }
     }
@@ -499,7 +480,7 @@ class Parser {
 
   ExprPtr parse_primary() {
     if (cur().kind == Tok::kNumber) {
-      const Token t = take();
+      const Token& t = take();
       auto e = std::make_shared<Expr>();
       e->kind = ExprKind::kNumber;
       e->num = t.value;
@@ -511,7 +492,7 @@ class Parser {
     if (cur().kind == Tok::kString) {
       auto e = std::make_shared<Expr>();
       e->kind = ExprKind::kString;
-      e->str = take().text;
+      e->str = token_text(take());
       return e;
     }
     if (cur().kind == Tok::kSysName) {
@@ -519,10 +500,10 @@ class Parser {
       e->kind = ExprKind::kSysCall;
       e->name = take().text;
       if (e->name == "$time") return e;  // argument-less system function
-      expect_sym("(");
+      expect_sym(Op::kLParen);
       do e->kids.push_back(parse_expr());
-      while (eat_sym(","));
-      expect_sym(")");
+      while (eat_sym(Op::kComma));
+      expect_sym(Op::kRParen);
       return e;
     }
     if (cur().kind == Tok::kIdent) {
@@ -531,14 +512,14 @@ class Parser {
       e->name = take().text;
       return e;
     }
-    if (eat_sym("(")) {
+    if (eat_sym(Op::kLParen)) {
       ExprPtr e = parse_expr();
-      expect_sym(")");
+      expect_sym(Op::kRParen);
       return e;
     }
-    if (eat_sym("{")) {
+    if (eat_sym(Op::kLBrace)) {
       ExprPtr first = parse_expr();
-      if (is_sym("{")) {
+      if (is_sym(Op::kLBrace)) {
         // Replication {N{...}}: the inner braces hold a concat list.
         ++pos_;
         auto r = std::make_shared<Expr>();
@@ -547,20 +528,20 @@ class Parser {
         auto inner = std::make_shared<Expr>();
         inner->kind = ExprKind::kConcat;
         do inner->kids.push_back(parse_expr());
-        while (eat_sym(","));
-        expect_sym("}");
+        while (eat_sym(Op::kComma));
+        expect_sym(Op::kRBrace);
         r->kids.push_back(inner->kids.size() == 1 ? inner->kids[0] : inner);
-        expect_sym("}");
+        expect_sym(Op::kRBrace);
         return r;
       }
       auto c = std::make_shared<Expr>();
       c->kind = ExprKind::kConcat;
       c->kids.push_back(std::move(first));
-      while (eat_sym(",")) c->kids.push_back(parse_expr());
-      expect_sym("}");
+      while (eat_sym(Op::kComma)) c->kids.push_back(parse_expr());
+      expect_sym(Op::kRBrace);
       return c;
     }
-    fail("unexpected token '" + cur().text + "' in expression");
+    fail("unexpected token '" + token_text(cur()) + "' in expression");
   }
 
   std::vector<Token> toks_;

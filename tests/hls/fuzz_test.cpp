@@ -18,6 +18,7 @@
 #include <random>
 #include <regex>
 
+#include "../fuzz_budget.h"
 #include "hls/builder.h"
 #include "hls/dse.h"
 #include "hls/feasibility.h"
@@ -30,18 +31,7 @@
 namespace hlsw::hls {
 namespace {
 
-// Iteration budget, overridable for soak runs: HLSW_FUZZ_ITERS=20000
-// ctest -L fuzz. The value scales every trial loop proportionally to its
-// default so relative coverage stays the same.
-int fuzz_iters(int dflt) {
-  if (const char* s = std::getenv("HLSW_FUZZ_ITERS")) {
-    const long v = std::strtol(s, nullptr, 10);
-    if (v > 0)
-      return static_cast<int>(
-          std::max(1L, v * dflt / 400));  // 400 = the largest default
-  }
-  return dflt;
-}
+using hlsw::testing::fuzz_iters;
 
 struct RandomProgram {
   Function func;

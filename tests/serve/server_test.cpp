@@ -4,11 +4,13 @@
 // only its own job), deterministic backpressure, and graceful shutdown.
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -377,6 +379,44 @@ TEST(Server, FullTenantQueueAnswersBusyWithoutDroppingAnything) {
                 ->as_int(),
             1);
 
+  server.stop();
+}
+
+TEST(Server, FinishedDseCoordinatorsAreJoinedBeforeStop) {
+  ServerOptions opts;
+  opts.unix_path = test_socket("coordinators");
+  opts.workers = 2;
+  Server server(opts);
+  server.register_design("tiny", build_tiny);
+  std::string err;
+  ASSERT_TRUE(server.start(&err)) << err;
+
+  Client client;
+  ASSERT_TRUE(client.connect_unix(opts.unix_path, &err)) << err;
+  Json resp;
+  const int jobs = 3 * opts.max_dse_coordinators;
+  for (int i = 0; i < jobs; ++i) {
+    // A coordinator gives its slot back just after writing the response,
+    // so a strictly sequential client may still see `busy`: retry it.
+    for (;;) {
+      ASSERT_TRUE(client.call("dse", Json::object().set("design", "tiny"),
+                              &resp, &err))
+          << err;
+      if (resp.find("ok")->as_bool()) break;
+      ASSERT_EQ(error_code(resp)->as_string(), "busy") << resp.dump();
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+  }
+
+  // Each dse request joins the coordinators that have finished, so a
+  // long-lived daemon holds at most the pool's worth of threads, not one
+  // per dse job served.
+  ASSERT_TRUE(client.call("metrics", Json(), &resp, &err));
+  const Json* coord =
+      resp.find("result")->find("server")->find("dse_coordinators");
+  ASSERT_NE(coord, nullptr) << resp.dump();
+  EXPECT_LE(coord->find("held")->as_int(), opts.max_dse_coordinators)
+      << resp.dump();
   server.stop();
 }
 

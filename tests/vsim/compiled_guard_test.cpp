@@ -6,7 +6,10 @@
 // 2x in DUT throughput. Every floor sits far below the measured gap
 // (BENCH_vsim.json: ~15x, ~7x and ~5x respectively), so CI noise cannot
 // flake the guards, but they are tight enough to catch a backend silently
-// falling back or regressing to the tier below.
+// falling back or regressing to the tier below. A fourth guard keeps the
+// front end in proportion: parsing the emitted module may take at most 5x
+// as long as elaborating it (measured ~1.5x; the string-comparing parser
+// it replaced sat at ~13x).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -20,8 +23,10 @@
 #include "qam/link.h"
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
+#include "vsim/elab.h"
 #include "vsim/harness.h"
 #include "vsim/pack.h"
+#include "vsim/parser.h"
 
 namespace hlsw::vsim {
 namespace {
@@ -228,6 +233,36 @@ TEST(VsimPackedGuard, PackedCodegenBeatsInterpretedPackedByAtLeast2x) {
                         << "x faster than the interpreted packed engine "
                         << "(interpreted " << t_interp << " ms vs generated "
                         << t_cg << " ms)";
+}
+
+TEST(VsimParseGuard, ParseWithin5xOfElaborateOnMergeArch) {
+  const qam::Architecture arch = qam::table1_architectures()[0];  // merge
+  const auto r = hls::run_synthesis(qam::build_qam_decoder_ir(), arch.dir,
+                                    TechLibrary::asic90());
+  const std::string verilog = rtl::emit_verilog(r.transformed, r.schedule);
+  const auto ms_since = [](std::chrono::steady_clock::time_point t0) {
+    return std::chrono::duration<double, std::milli>(
+               std::chrono::steady_clock::now() - t0)
+        .count();
+  };
+
+  // Best of 5 per stage, each rep a fresh parse and a fresh elaboration.
+  double t_parse = 1e300, t_elab = 1e300;
+  for (int rep = 0; rep < 5; ++rep) {
+    auto t0 = std::chrono::steady_clock::now();
+    const SourceUnit su = parse(verilog);
+    t_parse = std::min(t_parse, ms_since(t0));
+    t0 = std::chrono::steady_clock::now();
+    const auto design = elaborate(su, r.transformed.name);
+    t_elab = std::min(t_elab, ms_since(t0));
+    ASSERT_NE(design, nullptr);
+  }
+
+  ASSERT_GT(t_elab, 0.0);
+  const double ratio = t_parse / t_elab;
+  EXPECT_LE(ratio, 5.0) << "parsing takes " << ratio
+                        << "x as long as elaborating (parse " << t_parse
+                        << " ms vs elaborate " << t_elab << " ms)";
 }
 
 }  // namespace

@@ -146,6 +146,12 @@ TEST(VsimParser, RejectsMalformedInput) {
   expect_parse_error("module m;\n  wire [3:0 w;\nendmodule\n", "");
   expect_parse_error("module m;\n  initial begin $finish;\n", "");  // EOF
   expect_parse_error("module m;\n  wire w = ;\nendmodule\n", "");
+  // Literal sizes that wrap a 32- or 64-bit accumulator to 1 are still
+  // out of range.
+  expect_parse_error("module m;\n  wire w = 4294967297'd5;\nendmodule\n",
+                     "1..64");
+  expect_parse_error(
+      "module m;\n  wire w = 18446744073709551617'h3;\nendmodule\n", "1..64");
 }
 
 TEST(VsimParser, RejectsPartSelectOfComposite) {
