@@ -10,6 +10,7 @@
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "bench_main.h"
@@ -155,18 +156,13 @@ void run_harness_sections(bench::Harness* h) {
 
   // Bit-packed multi-lane sweeps: 64 independent 25-symbol blocks (every
   // block its own burst, replayed from reset on both legs) through one
-  // scalar compiled sweep vs 8- and 64-lane packed runs of the SAME
-  // blocks. The interpreted-packed legs pin Backend::kCompiled (kAuto now
-  // prefers the generated lane-major engine, which would silently change
-  // this baseline); the packed-codegen legs request kCodegen explicitly. Every full-sweep leg shares the batched golden reference
-  // (one interpreter context per batch, reset between lanes), so the
-  // packed-vs-packed gap below is pure DUT-engine difference. Throughput
-  // is reported per lane so the lane-scaling efficiency is visible next to
+  // scalar compiled sweep vs 8- and 64-lane runs of the SAME blocks on the
+  // generated lane-major engine. Every full-sweep leg shares the batched
+  // golden reference (one interpreter context per batch, reset between
+  // lanes). Without a host toolchain the lane sweeps run on the scalar
+  // engines (the config note records which engine ran). Throughput is
+  // reported per lane so the lane-scaling efficiency is visible next to
   // the raw speedup.
-  vsim::SimConfig interp_packed_cfg;
-  interp_packed_cfg.backend = vsim::Backend::kCompiled;
-  vsim::SimConfig packed_cg_cfg;
-  packed_cg_cfg.backend = vsim::Backend::kCodegen;
   const int kSweepSymbols = 1600;
   const std::size_t kSweepBlock = 25;
   const std::vector<PortIo> sweep_batch =
@@ -176,26 +172,16 @@ void run_harness_sections(bench::Harness* h) {
         vsim::vsim_sweep(r.transformed, r.schedule, sweep_batch,
                          {.block_size = kSweepBlock}));
   });
-  const auto t_sweep8 = h->measure("vsim_sweep_blocks_packed8", [&] {
-    benchmark::DoNotOptimize(vsim::vsim_sweep(
-        r.transformed, r.schedule, sweep_batch,
-        {.block_size = kSweepBlock, .lanes = 8}, interp_packed_cfg));
-  });
-  const auto t_sweep64 = h->measure("vsim_sweep_blocks_packed64", [&] {
-    benchmark::DoNotOptimize(vsim::vsim_sweep(
-        r.transformed, r.schedule, sweep_batch,
-        {.block_size = kSweepBlock, .lanes = 64}, interp_packed_cfg));
-  });
   const auto t_sweep8_cg = h->measure("vsim_sweep_blocks_packed8_codegen", [&] {
     benchmark::DoNotOptimize(vsim::vsim_sweep(
         r.transformed, r.schedule, sweep_batch,
-        {.block_size = kSweepBlock, .lanes = 8}, packed_cg_cfg));
+        {.block_size = kSweepBlock, .lanes = 8}));
   });
   const auto t_sweep64_cg =
       h->measure("vsim_sweep_blocks_packed64_codegen", [&] {
         benchmark::DoNotOptimize(vsim::vsim_sweep(
             r.transformed, r.schedule, sweep_batch,
-            {.block_size = kSweepBlock, .lanes = 64}, packed_cg_cfg));
+            {.block_size = kSweepBlock, .lanes = 64}));
       });
   // DUT-only throughput pair: the same 64 blocks replayed per-block
   // through scalar DutHarnesses vs one 64-lane PackedDutHarness. A full
@@ -217,22 +203,17 @@ void run_harness_sections(bench::Harness* h) {
       benchmark::DoNotOptimize(dut.run_stream(s));
     }
   });
-  const auto t_dut_packed = h->measure("vsim_sweep_dut_packed64", [&] {
-    vsim::PackedDutHarness dut(r.transformed, pack_plan, kDutLanes,
-                               interp_packed_cfg);
-    benchmark::DoNotOptimize(dut.run_streams(dut_streams));
-  });
-  // Same streams through the generated lane-major engine; the note records
-  // which backend actually ran (toolchain-less machines degrade to the
-  // interpreted packed tier, making this leg ~equal to the one above).
-  std::string packed_cg_backend = "unknown";
-  const auto t_dut_packed_cg =
-      h->measure("vsim_sweep_dut_packed64_codegen", [&] {
-        vsim::PackedDutHarness dut(r.transformed, pack_plan, kDutLanes,
-                                   packed_cg_cfg);
-        packed_cg_backend = dut.backend();
-        benchmark::DoNotOptimize(dut.run_streams(dut_streams));
-      });
+  // Same streams through the generated lane-major engine, when it can be
+  // built; otherwise the note records why and the leg is absent.
+  std::string packed_cg_backend = "packed_codegen";
+  std::optional<bench::Timing> t_dut_packed_cg;
+  if (vsim::packed_codegen_plan(pack_plan, kDutLanes, &pack_why) != nullptr)
+    t_dut_packed_cg = h->measure("vsim_sweep_dut_packed64_codegen", [&] {
+      vsim::PackedDutHarness dut(r.transformed, pack_plan, kDutLanes);
+      benchmark::DoNotOptimize(dut.run_streams(dut_streams));
+    });
+  else
+    packed_cg_backend = "scalar (packed-codegen: " + pack_why + ")";
 
   const auto throughput_note = [&](const std::string& label, int symbols,
                                    double min_ms, int lanes) {
@@ -247,13 +228,12 @@ void run_harness_sections(bench::Harness* h) {
     throughput_note(label, kSweepSymbols, min_ms, lanes);
   };
   sweep_note("sweep_blocks_scalar", t_sweep1.min_ms, 1);
-  sweep_note("sweep_blocks_packed8", t_sweep8.min_ms, 8);
-  sweep_note("sweep_blocks_packed64", t_sweep64.min_ms, 64);
   sweep_note("sweep_blocks_packed8_codegen", t_sweep8_cg.min_ms, 8);
   sweep_note("sweep_blocks_packed64_codegen", t_sweep64_cg.min_ms, 64);
   sweep_note("sweep_dut_scalar", t_dut_scalar.min_ms, 1);
-  sweep_note("sweep_dut_packed64", t_dut_packed.min_ms, kDutLanes);
-  sweep_note("sweep_dut_packed64_codegen", t_dut_packed_cg.min_ms, kDutLanes);
+  if (t_dut_packed_cg)
+    sweep_note("sweep_dut_packed64_codegen", t_dut_packed_cg->min_ms,
+               kDutLanes);
   throughput_note("harness_compiled", kSymbols, t_vsim.min_ms, 1);
   throughput_note("harness_codegen", kSymbols, t_vsim_codegen.min_ms, 1);
 
@@ -275,23 +255,13 @@ void run_harness_sections(bench::Harness* h) {
   h->note("speedup_compiled_vs_event", t_vsim_event.min_ms / t_vsim.min_ms);
   h->note("speedup_codegen_vs_compiled",
           t_vsim.min_ms / t_vsim_codegen.min_ms);
-  h->note("speedup_packed8_vs_scalar_sweep", t_sweep1.min_ms / t_sweep8.min_ms);
-  h->note("speedup_packed64_vs_scalar_sweep",
-          t_sweep1.min_ms / t_sweep64.min_ms);
   h->note("speedup_packed8_codegen_vs_scalar_sweep",
           t_sweep1.min_ms / t_sweep8_cg.min_ms);
   h->note("speedup_packed64_codegen_vs_scalar_sweep",
           t_sweep1.min_ms / t_sweep64_cg.min_ms);
-  h->note("speedup_packed8_codegen_vs_interp_sweep",
-          t_sweep8.min_ms / t_sweep8_cg.min_ms);
-  h->note("speedup_packed64_codegen_vs_interp_sweep",
-          t_sweep64.min_ms / t_sweep64_cg.min_ms);
-  h->note("speedup_packed64_dut_vs_scalar_dut",
-          t_dut_scalar.min_ms / t_dut_packed.min_ms);
-  h->note("speedup_packed64_codegen_dut_vs_scalar_dut",
-          t_dut_scalar.min_ms / t_dut_packed_cg.min_ms);
-  h->note("speedup_packed64_codegen_dut_vs_interp_dut",
-          t_dut_packed.min_ms / t_dut_packed_cg.min_ms);
+  if (t_dut_packed_cg)
+    h->note("speedup_packed64_codegen_dut_vs_scalar_dut",
+            t_dut_scalar.min_ms / t_dut_packed_cg->min_ms);
   h->note("speedup_sweep_pool4_vs_serial", t_serial.min_ms / t_par.min_ms);
   h->note("speedup_sweep_pool4_vs_serial_event",
           t_serial_event.min_ms / t_par_event.min_ms);

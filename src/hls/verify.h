@@ -62,8 +62,8 @@ struct CosimOptions {
   std::size_t mismatch_limit = 0;
   // Independent stimulus streams executed per model instance (clamped to
   // [1, 64]). Only honored by backends that support multi-lane execution
-  // (vsim::vsim_sweep's bit-packed compiled path); everything else treats
-  // any value as 1. With lanes = N, N consecutive blocks share one
+  // (vsim::vsim_sweep's generated lane-major engine); everything else
+  // treats any value as 1. With lanes = N, N consecutive blocks share one
   // multi-lane DUT — block independence (replay from reset) is unchanged.
   int lanes = 1;
 };

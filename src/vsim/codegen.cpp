@@ -457,12 +457,12 @@ bool tape_reads_scalar(const TOp& o) {
   }
 }
 
-// One lane-masked process body for the packed engine. The control-flow
-// translation mirrors PackedSim::run_proc instruction by instruction: a
-// LIFO stack of (pc, mask) contexts split off by divergent branches, a
-// `dispatch` switch that re-enters the goto graph at a dynamic pc, and
-// instruction retirement counted as popcount(mask) — the packed oracle's
-// exact accounting (pack_test pins the bit-identity, splits included).
+// One lane-masked process body for the packed engine. The control flow of
+// CompiledSim::run_proc becomes a LIFO stack of (pc, mask) contexts split
+// off by divergent branches, a `dispatch` switch that re-enters the goto
+// graph at a dynamic pc, and instruction retirement counted as
+// popcount(mask) — so instrs equals the sum of the per-lane scalar runs
+// (pack_test pins that, and the split counts).
 void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
                       std::size_t p) {
   const std::size_t entry = static_cast<std::size_t>(cd.procs[p].entry);
@@ -473,7 +473,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
   const std::string D = std::to_string(repeat_depth);
 
   // Contexts hold disjoint non-empty lane sets, so at most kL exist at
-  // once and fixed arrays replace the oracle's vector.
+  // once and fixed arrays bound the context stack.
   os << "PK_SIMD static int proc" << p << "(St* S, u64 m, i64 budget) {\n"
         "  u64 wk_m[kL]; int wk_pc[kL]; int wsp = 0; int npc = 0;\n"
         "  u64 pl[kL]; u64 ixp[kL];\n"
@@ -490,7 +490,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
         in.sig >= 0 ? hx(cd.sig_mask[static_cast<std::size_t>(in.sig)]) : "";
     const std::string A = std::to_string(in.a);
     // Evaluates a tape for every lane into `dest[l]` (pure, so computing
-    // lanes outside the mask is harmless — oracle does the same).
+    // lanes outside the mask is harmless).
     const auto plane_tape = [&](int tape, const char* dest) {
       os << "    for (int l = 0; l < kL; ++l) {\n";
       const std::string v = emit_tape(os, cd, tape, tmp, ind);
@@ -605,7 +605,7 @@ void emit_packed_proc(std::ostream& os, const CompiledDesign& cd,
       case PInstr::kCaseJump:
         // Lockstep fast path dispatches all lanes in one shot (no split
         // counted); otherwise lanes group by target in first-seen order
-        // and groups 1..n-1 stack up, exactly as the oracle.
+        // and groups 1..n-1 stack up.
         os << "    const u64* s = S->v[" << SIG
            << "];\n"
               "    const u64 s0 = s[__builtin_ctzll(m)];\n"
@@ -746,7 +746,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 
   emit_static_tables(os, cd);
 
-  // Comb activity gating, as in the interpreted oracle: the fan CSR maps a
+  // Comb activity gating, as in CompiledSim: the fan CSR maps a
   // changed signal to the eager nodes that must re-evaluate (lazy nodes are
   // excluded by construction — they re-run at peek, below), and kLazyOf
   // names the lazy node driving a signal so the peek entry points can force
@@ -777,8 +777,8 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
 
   // Engine state: one kL-lane plane per signal (2D so runtime-sig paths
   // like set_masked index rows), lane-major arrays, lane-mask ready bits
-  // and the double-buffered NBA queue with plane arenas — PackedSim's
-  // layout with every extent baked.
+  // and the double-buffered NBA queue with plane arenas, every extent
+  // baked.
   os << "struct Nba { std::int32_t sig; u64 mask; i64 vofs; i64 iofs; };\n";
   os << "struct St {\n  u64 v[" << nsig << "][kL] = {};\n";
   for (std::size_t i = 0; i < nsig; ++i)
@@ -795,7 +795,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  int running = -1;\n"
         "  bool comb_dirty = true;\n"
         // Zero = dirty: the first flush evaluates every eager node, as the
-        // oracle's constructor marks all non-lazy nodes pending.
+        // CompiledSim's constructor marks all non-lazy nodes pending.
         "  unsigned char nclean[kNN] = {};\n"
         "  i64 events = 0, nba_commits = 0, delta_cycles = 0, instrs = 0;\n"
         "  i64 flushes = 0, div_splits = 0, slot_base = 0;\n"
@@ -808,7 +808,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   os << "    default: return nullptr;\n  }\n}\n\n";
 
   // Edge triggers: the running process's own writes never re-arm it (every
-  // changed lane lies inside its context mask, as in the oracle).
+  // changed lane lies inside its context mask).
   os << "static void trig(St* S, int sig, u64 ch, u64 pos, u64 neg) {\n"
         "  (void)ch; (void)pos; (void)neg;\n"
         "  switch (sig) {\n";
@@ -828,7 +828,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   }
   os << "    default: break;\n  }\n}\n\n";
 
-  // Dirty the changed signal's dependent eager nodes (the oracle's
+  // Dirty the changed signal's dependent eager nodes (CompiledSim's
   // mark_fanout): flush then re-evaluates only those.
   os << "static void mark_fan(St* S, int sig) {\n"
         "  for (std::int32_t i = kFanIdx[sig]; i < kFanIdx[sig + 1]; ++i)\n"
@@ -897,13 +897,13 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
         "  return ofs;\n"
         "}\n\n";
 
-  // Activity-gated comb flush in level order, the oracle's flush_comb with
+  // Activity-gated comb flush in level order, CompiledSim's flush_comb with
   // the level queues compiled away: each eager node is emitted in level
   // order behind its own dirty bit, evaluates its FUSED exec_tape (lazy
   // single-reader cones inlined, exactly what the interpreter runs) as a
   // branchless full-mask lane loop, and on change marks its dependents —
   // which sit strictly later in the emitted order, so one pass reaches the
-  // fixpoint. Lazy nodes are absent here entirely: like the oracle they
+  // fixpoint. Lazy nodes are absent here entirely: like CompiledSim's they
   // re-run on demand at the peek entry points (force_lazy below), which is
   // what lets a 64-lane flush skip the majority of the node list.
   {
@@ -961,7 +961,7 @@ std::string packed_codegen_source(const CompiledDesign& cd, int lanes) {
   }
 
   // On-demand lazy evaluation at the observation boundary, mirroring
-  // PackedSim::force_lazy: lazy scalar reads inside the tape force their
+  // CompiledSim::force_lazy: lazy scalar reads inside the tape force their
   // own lazy driver first (the dependency set is static, so the recursion
   // is unrolled per case), then the ORIGINAL tape runs as a plain masked
   // store — no events, no triggers, no fanout (logical const).
@@ -1536,7 +1536,7 @@ std::uint64_t PackedCodegenSim::peek_nonzero_mask(int sig) const {
 
 void PackedCodegenSim::settle() {
   // Packed instruction counts are lane sums, so the per-slot budget scales
-  // with the lane count (the interpreted engine applies the same factor).
+  // with the lane count.
   const int r = mod_->settle(
       st_, cfg_.max_instrs_per_slot * static_cast<long long>(mod_->lanes));
   if (r != 0)

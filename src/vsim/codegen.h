@@ -9,21 +9,24 @@
 // (1..64), compiles it with the host toolchain and dlopen()s the result.
 // Every comb node and branch-resolved process body becomes a fixed-trip
 // `for (l = 0; l < kL; ++l)` loop over [sig][lane] state planes, with
-// per-lane execution masks and the exact context-splitting divergence
-// semantics of the interpreted PackedSim (pack.h), which serves as the
-// bit-identity oracle. There is one generator: a scalar Simulation asked
-// for Backend::kCodegen runs it at L = 1 (one lane cannot diverge), and
-// multi-lane harnesses run it at their lane count. The only per-L choice
-// is derived from L itself: target_clones is emitted only when L > 1,
-// since a one-lane body has nothing to vectorize.
+// per-lane execution masks and context-splitting divergence: a branch whose
+// lanes disagree runs its lane subsets one after another. Its oracle is N
+// independent scalar CompiledSim runs of the same streams (pack_test).
+// There is one generator: a scalar Simulation asked for Backend::kCodegen
+// runs it at L = 1 (one lane cannot diverge), and multi-lane harnesses
+// run it at their lane count. The only per-L choice is derived from L
+// itself: target_clones is emitted only when L > 1, since a one-lane body
+// has nothing to vectorize.
 //
 // Fallback chain (silent, typed, reason recorded): codegen refuses plans
 // with $display/$dumpfile/$dumpvars (testbenches keep the interpreter
 // tiers, which own the display log and VCD writer), any environment
 // without a working host toolchain, and an unsafe default cache
 // directory. Simulation then degrades to the compiled interpreter with
-// fallback_reason() prefixed "codegen: "; PackedDutHarness degrades to
-// the interpreted PackedSim with the prefix "packed-codegen: ".
+// fallback_reason() prefixed "codegen: "; multi-lane sweeps
+// (vsim_sweep, profile_run) ask packed_codegen_plan first and take their
+// scalar path when it returns nullptr, recording the reason prefixed
+// "packed-codegen: ".
 //
 // Shared-object cache: the fingerprint is FNV-1a over the compiler's
 // `--version` output, the compile command line and the full generated
@@ -47,10 +50,12 @@
 #include <string>
 
 #include "vsim/compile.h"
-#include "vsim/pack.h"
 #include "vsim/sim.h"
 
 namespace hlsw::vsim {
+
+// Maximum lanes per generated engine: one lane per bit of the lane masks.
+inline constexpr int kMaxLanes = 64;
 
 // A generated, compiled and loaded LANE-MAJOR engine for one
 // (CompiledDesign, lanes) pair. The dlopen handle is retained for the
@@ -106,39 +111,50 @@ std::shared_ptr<const PackedCodegenModule> packed_codegen_plan(
     const std::shared_ptr<const CompiledDesign>& plan, int lanes,
     std::string* why);
 
-// Multi-lane execution over one loaded PackedCodegenModule: the
-// PackedEngine contract (pack.h) with the whole settle loop — lane-loop
-// comb flush, masked process scheduling with context splitting, plane
-// NBA commit — running inside the generated shared object. Bit-identical
-// to the interpreted PackedSim on values, lane masks, divergence counts
-// and SimStats (pack_test certifies it against the oracle). At one lane it
-// is also the scalar Simulation's codegen engine. No $display/VCD support
-// by construction (such plans never reach this backend).
-class PackedCodegenSim : public PackedEngine {
+// Multi-lane execution over one loaded PackedCodegenModule: lane-masked
+// pokes, per-lane peeks and the whole settle loop — lane-loop comb flush,
+// masked process scheduling with context splitting, plane NBA commit —
+// running inside the generated shared object. Bit-identical, lane by
+// lane, to scalar CompiledSim runs of the same streams, with SimStats
+// summed over lanes (pack_test certifies it). At one lane it is also the
+// scalar Simulation's codegen engine. No $display/VCD support by
+// construction (such plans never reach this backend).
+class PackedCodegenSim {
  public:
   PackedCodegenSim(std::shared_ptr<const PackedCodegenModule> mod,
                    const SimConfig& cfg);
-  ~PackedCodegenSim() override;
+  ~PackedCodegenSim();
   PackedCodegenSim(const PackedCodegenSim&) = delete;
   PackedCodegenSim& operator=(const PackedCodegenSim&) = delete;
 
-  int lanes() const override { return mod_->lanes; }
-  std::uint64_t full_mask() const override { return full_mask_; }
-  const CompiledDesign& compiled() const override { return *mod_->plan; }
+  int lanes() const { return mod_->lanes; }
+  // All-ones over the configured lane count.
+  std::uint64_t full_mask() const { return full_mask_; }
+  // The shared plan this engine executes (signal handles resolve through
+  // its elaborated design).
+  const CompiledDesign& compiled() const { return *mod_->plan; }
 
-  void poke(int sig, std::uint64_t value, std::uint64_t mask) override;
-  void poke_lane(int sig, int lane, std::uint64_t value) override;
-  void poke_plane(int sig, const std::uint64_t* plane,
-                  std::uint64_t mask) override;
-  std::uint64_t peek(int sig, int lane) const override;
-  long long peek_signed(int sig, int lane) const override;
-  std::uint64_t peek_elem(int sig, int index, int lane) const override;
-  std::uint64_t peek_nonzero_mask(int sig) const override;
-  void settle() override;
+  // Sets signal `sig` to `value` on every lane in `mask` (other lanes are
+  // untouched — the masked poke is how the harness freezes lanes).
+  void poke(int sig, std::uint64_t value, std::uint64_t mask);
+  void poke_lane(int sig, int lane, std::uint64_t value);
+  // Per-lane values in one call: plane[l] is applied to every lane in
+  // `mask`. One change-detection pass instead of lanes() masked pokes.
+  void poke_plane(int sig, const std::uint64_t* plane, std::uint64_t mask);
+  std::uint64_t peek(int sig, int lane) const;
+  long long peek_signed(int sig, int lane) const;
+  std::uint64_t peek_elem(int sig, int index, int lane) const;
+  // Bitmask over lanes whose current value of `sig` is nonzero (forces a
+  // lazy node once, like peek). The harness polls `done` with this.
+  std::uint64_t peek_nonzero_mask(int sig) const;
+  // Runs delta cycles at the current time until every lane is quiescent.
+  void settle();
 
-  const SimStats& stats() const override;
-  long long divergence_splits() const override;
-  const char* backend() const override { return "packed_codegen"; }
+  // Aggregate over all lanes; equals the sum of the per-lane scalar runs.
+  const SimStats& stats() const;
+  // Contexts created by divergent branches (0 = lanes stayed in lockstep).
+  long long divergence_splits() const;
+  const char* backend() const { return "packed_codegen"; }
 
  private:
   void refresh_stats() const;

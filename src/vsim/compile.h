@@ -261,10 +261,10 @@ std::shared_ptr<const CompiledDesign> compile_design(
 std::shared_ptr<const CompiledDesign> compiled_plan(
     const std::shared_ptr<const Design>& design, std::string* why);
 
-// True when the plan can execute under the bit-packed multi-lane engine
-// (vsim/pack.h): PackedSim supports neither $display nor VCD dumping, so a
-// plan touching either must stay on the scalar backends. Shared by
-// vsim_sweep's lane routing and profile_run's packed auto-selection.
+// True when the plan can execute under the generated lane-major engine
+// (vsim/codegen.h): it supports neither $display nor VCD dumping, so a
+// plan touching either must stay on the scalar backends.
+// packed_codegen_plan refuses such plans with a typed reason.
 bool plan_packable(const CompiledDesign& cd);
 
 // The cycle-based execution engine over one CompiledDesign. Mirrors the

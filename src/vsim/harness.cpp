@@ -278,14 +278,15 @@ hls::CosimFactory vsim_factory(const hls::Function& f,
 // untouched (every batch's harness starts from reset, and lanes are
 // state-disjoint), the golden leg stays the per-block untimed interpreter,
 // and mismatch reports reuse hls::compare_outputs / cap_mismatches so the
-// output is byte-identical with the scalar sweep.
+// output is byte-identical with the scalar sweep. Every batch runs the one
+// `lanes`-wide engine the caller built; a short last batch leaves its
+// spare lanes idle instead of compiling a narrower engine.
 hls::CosimResult vsim_sweep_packed(
     const hls::Function& f, std::shared_ptr<const CompiledDesign> plan,
     const std::vector<PortIo>& vectors, const hls::CosimOptions& opts,
     const SimConfig& cfg, int lanes) {
   hls::CosimResult result;
   result.vectors = vectors.size();
-  if (vectors.empty()) return result;
 
   const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
   const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
@@ -304,7 +305,7 @@ hls::CosimResult vsim_sweep_packed(
     const std::size_t first_blk = batch * nlanes;
     const int L = static_cast<int>(
         std::min(nlanes, nblocks - first_blk));
-    std::vector<std::vector<PortIo>> streams(static_cast<std::size_t>(L));
+    std::vector<std::vector<PortIo>> streams(nlanes);
     for (int l = 0; l < L; ++l) {
       const std::size_t begin = (first_blk + static_cast<std::size_t>(l)) * bs;
       const std::size_t end = std::min(begin + bs, vectors.size());
@@ -312,7 +313,7 @@ hls::CosimResult vsim_sweep_packed(
           vectors.begin() + static_cast<long>(begin),
           vectors.begin() + static_cast<long>(end));
     }
-    PackedDutHarness harness(f, plan, L, cfg);
+    PackedDutHarness harness(f, plan, lanes, cfg);
     const auto got = harness.run_streams(streams);
     std::vector<std::string> mism;
     // One golden evaluation context per batch, reset() between lanes:
@@ -363,12 +364,32 @@ hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
   obs::ScopedSpan span("vsim_sweep", "vsim");
   const std::string verilog = rtl::emit_verilog(f, s);
   auto design = load_design(verilog, f.name);
-  const int lanes = std::clamp(opts.lanes, 1, kMaxLanes);
-  if (lanes > 1 && cfg.backend != Backend::kEvent) {
-    std::string why;
-    if (auto plan = compiled_plan(design, &why); plan && plan_packable(*plan))
-      return vsim_sweep_packed(f, plan, vectors, opts, cfg, lanes);
-    // Not cycle-schedulable (or a dumping design): scalar fallback below.
+  // A multi-lane sweep runs the generated lane-major engine, one width for
+  // every batch and no wider than the sweep has blocks. When that engine
+  // cannot be built, or cfg pins a scalar engine, the scalar sweep below
+  // returns the same CosimResult; the span says which ran and why.
+  std::string why;
+  if (opts.lanes > 1 && !vectors.empty()) {
+    if (cfg.backend == Backend::kEvent || cfg.backend == Backend::kCompiled) {
+      why = "SimConfig::backend pins the scalar engines";
+    } else {
+      const std::size_t bs = std::max<std::size_t>(1, opts.block_size);
+      const std::size_t nblocks = (vectors.size() + bs - 1) / bs;
+      const int lanes = static_cast<int>(std::min<std::size_t>(
+          static_cast<std::size_t>(std::min(opts.lanes, kMaxLanes)),
+          nblocks));
+      auto plan = compiled_plan(design, &why);
+      if (plan != nullptr &&
+          packed_codegen_plan(plan, lanes, &why) != nullptr) {
+        if (span.active()) span.arg("backend", "packed_codegen");
+        return vsim_sweep_packed(f, plan, vectors, opts, cfg, lanes);
+      }
+      why = "packed-codegen: " + why;
+    }
+  }
+  if (span.active()) {
+    span.arg("backend", "scalar");
+    if (!why.empty()) span.arg("fallback_reason", why);
   }
   return hls::cosim_sweep(interp_factory(f), vsim_factory(f, design, cfg),
                           vectors, opts);

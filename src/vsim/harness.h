@@ -107,7 +107,12 @@ TestbenchResult run_testbench(const std::string& sources,
 // front-end work and only per-leg Simulation state is rebuilt; sharded per
 // CosimOptions (thread pool, block size). Stateful designs need
 // block_size >= vectors.size(), as with cosim_sweep. `cfg` selects the vsim backend for
-// every leg (event vs compiled benchmarking).
+// every leg (event vs compiled benchmarking). With opts.lanes > 1 under
+// kAuto/kCodegen, up to `lanes` blocks share one run of the generated
+// lane-major engine (PackedDutHarness, vsim/pack.h); when
+// packed_codegen_plan cannot build it, the sweep runs on the scalar
+// engines and returns the same result.
+// The "vsim_sweep" span records `backend` and `fallback_reason`.
 hls::CosimResult vsim_sweep(const hls::Function& f, const hls::Schedule& s,
                             const std::vector<hls::PortIo>& vectors,
                             const hls::CosimOptions& opts = {},

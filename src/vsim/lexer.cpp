@@ -112,6 +112,12 @@ constexpr std::size_t kBytesPerTokenEstimate = 3;
                            ": " + what);
 }
 
+// v = v * base + digit; false when the result leaves 64 bits.
+bool accumulate(unsigned long long* v, unsigned base, unsigned digit) {
+  return !__builtin_mul_overflow(*v, base, v) &&
+         !__builtin_add_overflow(*v, digit, v);
+}
+
 int digit_value(char c, int base, int line) {
   int v;
   if (c >= '0' && c <= '9') v = c - '0';
@@ -217,12 +223,14 @@ std::vector<Token> lex(std::string_view src) {
     if (is_digit(c) || (c == '\'' && ident_char(peek(1)))) {
       t.kind = Tok::kNumber;
       // Optional decimal size, then optional '<s><base> digits. A size
-      // beyond 64 is remembered as it accumulates, before it can wrap.
+      // beyond 64, or a value beyond 64 bits, is remembered as it
+      // accumulates, before it can wrap.
       unsigned long long size = 0;
-      bool have_size = false, too_wide = false;
+      bool have_size = false, too_wide = false, overflow = false;
       while (i < n && is_digit(src[i])) {
-        size = size * 10 + static_cast<unsigned long long>(src[i++] - '0');
-        too_wide = too_wide || size > 64;
+        overflow |=
+            !accumulate(&size, 10, static_cast<unsigned>(src[i++] - '0'));
+        too_wide = too_wide || overflow || size > 64;
         have_size = true;
       }
       if (i < n && src[i] == '\'') {
@@ -244,11 +252,12 @@ std::vector<Token> lex(std::string_view src) {
         ++i;
         unsigned long long v = 0;
         bool any = false;
+        bool value_overflow = false;
         while (i < n && ident_char(src[i])) {
           if (src[i] != '_') {
-            v = v * static_cast<unsigned long long>(base) +
-                static_cast<unsigned long long>(
-                    digit_value(src[i], base, line));
+            value_overflow |= !accumulate(
+                &v, static_cast<unsigned>(base),
+                static_cast<unsigned>(digit_value(src[i], base, line)));
             any = true;
           }
           ++i;
@@ -257,11 +266,13 @@ std::vector<Token> lex(std::string_view src) {
         t.width = have_size ? static_cast<int>(size) : 32;
         if (too_wide || t.width < 1)
           fail(line, "literal width out of the supported 1..64 range");
+        if (value_overflow) fail(line, "literal value does not fit in 64 bits");
         t.value = t.width < 64 ? v & ((1ULL << t.width) - 1) : v;
         t.sized = have_size;
         t.is_signed = sflag;
       } else {
         // Plain unsized decimal: 32-bit signed per the LRM.
+        if (overflow) fail(line, "literal value does not fit in 64 bits");
         t.value = size;
         t.is_signed = true;
       }

@@ -10,6 +10,20 @@ namespace hlsw::vsim {
 
 namespace {
 
+// Nesting bound across parenthesised expressions, unary chains,
+// concatenations and nested statements. The parser recurses once per
+// level, so unbounded nesting would overflow the stack; the emitted
+// designs nest a few levels deep. Same limit as obs::Json::kMaxDepth.
+constexpr int kMaxNesting = 512;
+
+// Largest register file a declaration may ask for, in elements. Simulation
+// allocates 8 bytes per element per lane, so the bound keeps a one-line
+// declaration from claiming gigabytes. The largest register files any
+// exploration or Table 1 architecture emits hold 16 elements (the
+// decoder's DFE coefficients dfe_c and decision history SV); the cap
+// leaves 4096x headroom for other designs.
+constexpr long long kMaxArrayElements = 1LL << 16;
+
 class Parser {
  public:
   explicit Parser(std::vector<Token> toks) : toks_(std::move(toks)) {}
@@ -33,6 +47,22 @@ class Parser {
     throw std::runtime_error("vsim parse error at line " +
                              std::to_string(cur().line) + ": " + what);
   }
+
+  // One nesting level for the lifetime of the guard (see kMaxNesting).
+  class Nest {
+   public:
+    explicit Nest(Parser* p) : p_(p) {
+      if (++p_->depth_ > kMaxNesting)
+        p_->fail("nesting deeper than " + std::to_string(kMaxNesting) +
+                 " levels");
+    }
+    ~Nest() { --p_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser* p_;
+  };
 
   bool is_sym(Op op) const { return cur().op == op; }
   bool is_kw(std::string_view s) const {
@@ -213,6 +243,9 @@ class Parser {
         const long long hi = const_int(parse_expr());
         expect_sym(Op::kRBracket);
         if (lo != 0 || hi < 0) fail("array bounds must be [0:N-1]");
+        if (hi >= kMaxArrayElements)
+          fail("array '" + d.name + "' has more than " +
+               std::to_string(kMaxArrayElements) + " elements");
         d.array_len = static_cast<int>(hi) + 1;
       }
       if (eat_sym(Op::kAssign)) {
@@ -276,6 +309,7 @@ class Parser {
 
   // ---- Statements ----------------------------------------------------------
   StmtPtr parse_stmt() {
+    const Nest nest(this);
     auto st = std::make_shared<Stmt>();
     if (eat_sym(Op::kSemi)) {
       st->kind = StmtKind::kNull;
@@ -411,6 +445,7 @@ class Parser {
   ExprPtr parse_expr() { return parse_ternary(); }
 
   ExprPtr parse_ternary() {
+    const Nest nest(this);
     ExprPtr c = parse_binary(0);
     if (!eat_sym(Op::kQuestion)) return c;
     auto e = std::make_shared<Expr>();
@@ -442,6 +477,7 @@ class Parser {
   ExprPtr parse_unary() {
     const OpInfo& op = op_info(cur().op);
     if (!op.unary) return parse_postfix();
+    const Nest nest(this);
     ++pos_;
     auto e = std::make_shared<Expr>();
     e->kind = ExprKind::kUnary;
@@ -546,6 +582,7 @@ class Parser {
 
   std::vector<Token> toks_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  // current nesting (see Nest)
   std::map<std::string, long long> params_;
 };
 

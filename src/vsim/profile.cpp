@@ -71,8 +71,8 @@ obs::Json ProfileRunResult::to_json() const {
   for (const std::string& s : notes) notes_j.push(s);
   return obs::Json::object()
       .set("tool", "hlsw.profile")
-      // 3: a packed leg's backend may now be "packed_codegen" (generated
-      // lane-major engine) with its degrade reason in fallback_reason.
+      // 3: a packed leg's backend reads "packed_codegen" (the generated
+      // lane-major engine).
       .set("schema_version", 3)
       .set("function", function)
       .set("predicted",
@@ -181,12 +181,6 @@ ProfileRunResult profile_run(const hls::Function& f,
             "cycle-schedulable: " + why + "); compiled leg ran scalar");
         return false;
       }
-      if (!plan_packable(*plan)) {
-        r.notes.push_back(
-            "packed auto-selection unavailable ($display/$dump in the "
-            "design); compiled leg ran scalar");
-        return false;
-      }
       const std::size_t n = vectors.size();
       const std::size_t bs =
           (n + static_cast<std::size_t>(lanes) - 1) /
@@ -197,9 +191,15 @@ ProfileRunResult profile_run(const hls::Function& f,
             vectors.begin() + static_cast<long>(begin),
             vectors.begin() + static_cast<long>(std::min(begin + bs, n)));
       const int L = static_cast<int>(streams.size());
-      // SimConfig{} = kAuto: the harness prefers the generated lane-major
-      // engine (packed_codegen) when a toolchain exists and degrades to
-      // the interpreted packed tier with the reason recorded per leg.
+      // The lanes run on the generated lane-major engine; without it
+      // (no toolchain, $display/$dump in the design) the compiled leg runs
+      // scalar, as for an unschedulable design.
+      if (packed_codegen_plan(plan, L, &why) == nullptr) {
+        r.notes.push_back(
+            "packed auto-selection unavailable (packed-codegen: " + why +
+            "); compiled leg ran scalar");
+        return false;
+      }
       PackedDutHarness h(r.synthesis.transformed, plan, L, SimConfig{});
       const auto got = h.run_streams(streams);
       long long mm = 0;

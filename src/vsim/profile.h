@@ -49,14 +49,16 @@ struct ProfileRunOptions {
   bool run_vsim_codegen = false;
   // Lane budget for the compiled leg (clamped to [1, 64]). When > 1 and the
   // stimulus has at least `lanes` vectors, the compiled leg auto-selects
-  // the bit-packed multi-lane backend: the vectors split into `lanes`
+  // the generated lane-major engine: the vectors split into `lanes`
   // contiguous blocks, each block replays from reset in its own lane (the
   // vsim_sweep block contract — stateful designs need block-independent
   // stimulus), outputs check against a per-block golden replay, and the
   // perf counters are summed across lanes (every counter accumulates per
   // invocation, so the sum equals the scalar sequential measurement). The
   // choice is surfaced per leg as "lanes" in profile_run.json plus a note;
-  // unpackable designs fall back to the scalar compiled leg with a note.
+  // when that engine cannot be built (no host toolchain, $display/$dump in
+  // the design, no compiled plan) the compiled leg runs scalar, with a
+  // note naming the reason.
   int lanes = 1;
   // When non-empty, write_profile_run_json() is called on the result.
   std::string report_path;

@@ -28,15 +28,15 @@ namespace hlsw::vsim {
 // Execution engine selection. For a scalar Simulation, kAuto means the
 // compiled interpreter when the design cycle-schedules, the event kernel
 // otherwise (designs with time control, $finish/$stop or zero-delay
-// feedback); multi-lane harnesses (PackedDutHarness) try the generated
-// engine first under anything but kEvent/kCompiled. kCodegen runs the one
-// generated lane-major engine (codegen.h): at one lane in a Simulation, at
-// the harness's lane count in PackedDutHarness. Each tier degrades
-// silently down the chain
-//   codegen -> compiled -> event            (Simulation)
-//   codegen -> interpreted packed engine    (PackedDutHarness)
-// with the reason recorded in fallback_reason(), prefixed "codegen: " or
-// "packed-codegen: " respectively.
+// feedback). kCodegen runs the one generated lane-major engine
+// (codegen.h) at one lane. Each tier degrades silently down the chain
+//   codegen -> compiled -> event
+// with the reason recorded in fallback_reason(), prefixed "codegen: ".
+// A multi-lane sweep (CosimOptions::lanes > 1) runs the same generated
+// engine at its lane count under kAuto/kCodegen and, when that engine
+// cannot be built, sweeps on the scalar engines with the reason prefixed
+// "packed-codegen: "; kEvent/kCompiled pin the scalar engines, so
+// kCompiled always means the tape interpreter.
 enum class Backend {
   kAuto,      // the default: see above
   kEvent,     // stratified event kernel (sim.cpp)

@@ -32,6 +32,7 @@
 #include "rtl/verilog.h"
 #include "vsim/codegen.h"
 #include "vsim/harness.h"
+#include "vsim/pack.h"
 #include "vsim/parser.h"
 #include "vsim/profile.h"
 

@@ -8,10 +8,11 @@
 // dumping session records must be identical between the event kernel and
 // the compiled interpreter. The compiled leg must actually BE compiled:
 // every architecture's emitted module is required to cycle-schedule with no
-// fallback. The codegen legs run natively where a host toolchain exists and
-// silently degrade to the compiled interpreter / interpreted packed engine
-// otherwise — either way they participate, so the battery passes on
-// toolchain-less machines too (the codegen-REQUIRED assertions live in
+// fallback. The codegen legs run natively where a host toolchain exists.
+// Without one the one-lane leg degrades to the compiled interpreter and
+// still participates, while the multi-lane leg has no engine: the battery
+// then checks that a 2-lane vsim_sweep fell back to the scalar engines
+// and matches the golden model (the codegen-REQUIRED assertions live in
 // codegen_test.cpp).
 #include <gtest/gtest.h>
 
@@ -19,12 +20,14 @@
 #include <cstdlib>
 #include <memory>
 #include <random>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include "hls/interp.h"
 #include "hls/report.h"
 #include "hls/verify.h"
+#include "obs/trace.h"
 #include "qam/architectures.h"
 #include "qam/decoder_ir.h"
 #include "qam/link.h"
@@ -51,7 +54,9 @@ using qam::LinkStimulus;
 // shared elaborated Design is load_design()ed ONCE and every vsim leg
 // reuses it — the battery never re-parses per leg. The packed leg runs the
 // block twice through a 2-lane engine and returns lane 0, so lane masking
-// itself is inside the differential, not just the one-lane engine.
+// itself is inside the differential, not just the one-lane engine. Without
+// a toolchain the packed leg is left out (five-way) and replaced by the
+// scalar-fallback check below.
 void run_six_way_battery(const Directives& dir, const std::string& name,
                          int symbols) {
   const auto r =
@@ -81,21 +86,24 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
       ASSERT_STREQ(probe.backend(), "compiled") << name;
     }
   }
-  // The packed leg needs the shared compiled plan; with a toolchain it must
-  // run the generated lane-major engine, without one the interpreted packed
-  // tier — both stay in the differential.
+  // The packed leg needs the shared compiled plan and, with a toolchain,
+  // runs the generated lane-major engine. Without one no multi-lane engine
+  // exists: the harness refuses with a typed reason.
   std::string plan_why;
   const auto plan = compiled_plan(design, &plan_why);
   ASSERT_NE(plan, nullptr) << name << ": " << plan_why;
-  SimConfig packed_cfg;
-  packed_cfg.backend = Backend::kCodegen;
-  {
-    PackedDutHarness probe(r.transformed, plan, 2, packed_cfg);
-    if (codegen_available())
-      ASSERT_STREQ(probe.backend(), "packed_codegen")
-          << name << ": fell back: " << probe.fallback_reason();
-    else
-      ASSERT_STREQ(probe.backend(), "compiled") << name;
+  const bool packed = codegen_available();
+  if (packed) {
+    PackedDutHarness probe(r.transformed, plan, 2);
+    ASSERT_STREQ(probe.backend(), "packed_codegen") << name;
+  } else {
+    try {
+      PackedDutHarness probe(r.transformed, plan, 2);
+      ADD_FAILURE() << name << ": packed harness built without a toolchain";
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()).rfind("packed-codegen: ", 0), 0u)
+          << name << ": " << e.what();
+    }
   }
 
   SimConfig event_cfg;
@@ -128,8 +136,8 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   // divergence machinery are all live while the observable contract stays
   // "one sequential block".
   const hls::CosimFactory vsim_packed = [&] {
-    return [&r, plan, packed_cfg](const std::vector<PortIo>& ins) {
-      PackedDutHarness h(r.transformed, plan, 2, packed_cfg);
+    return [&r, plan](const std::vector<PortIo>& ins) {
+      PackedDutHarness h(r.transformed, plan, 2);
       auto out = h.run_streams({ins, ins});
       return out[0];
     };
@@ -138,18 +146,37 @@ void run_six_way_battery(const Directives& dir, const std::string& name,
   LinkStimulus stim((LinkConfig()));
   const auto vectors =
       qam::link_input_batch(&stim, symbols);
+  std::vector<hls::CosimLeg> legs = {{"golden", golden},
+                                     {"rtl", rtl_leg},
+                                     {"vsim-event", vsim_event},
+                                     {"vsim-compiled", vsim_compiled},
+                                     {"vsim-codegen", vsim_codegen}};
+  if (packed) legs.push_back({"vsim-packed-codegen", vsim_packed});
   const hls::CosimResult res = hls::cosim_sweep_nway(
-      {{"golden", golden},
-       {"rtl", rtl_leg},
-       {"vsim-event", vsim_event},
-       {"vsim-compiled", vsim_compiled},
-       {"vsim-codegen", vsim_codegen},
-       {"vsim-packed-codegen", vsim_packed}},
-      vectors, {.block_size = vectors.size(), .mismatch_limit = 8});
+      legs, vectors, {.block_size = vectors.size(), .mismatch_limit = 8});
   EXPECT_TRUE(res.ok()) << name << ": "
                         << (res.mismatches.empty() ? ""
                                                    : res.mismatches.front());
   EXPECT_EQ(res.vectors, static_cast<std::size_t>(symbols)) << name;
+  if (!packed) {
+    // Two blocks (each replayed from reset by golden and DUT alike) over
+    // two lanes: the sweep's span must say the scalar engines ran it.
+    const bool was_enabled = obs::enabled();
+    obs::set_enabled(true);
+    obs::TraceSession::instance().clear();
+    const auto sweep = vsim_sweep(
+        r.transformed, r.schedule, vectors,
+        {.block_size = (vectors.size() + 1) / 2, .lanes = 2});
+    std::string backend;
+    for (const auto& ev : obs::TraceSession::instance().snapshot())
+      if (const obs::Json* b = ev.name == "vsim_sweep" && ev.args.is_object()
+                                   ? ev.args.find("backend")
+                                   : nullptr)
+        backend = b->as_string();
+    obs::set_enabled(was_enabled);
+    EXPECT_EQ(backend, "scalar") << name;
+    EXPECT_TRUE(sweep.ok()) << name << ": scalar fallback sweep diverged";
+  }
 
   // VCD byte-identity for the same architecture: a dumping session of the
   // emitted module must record identical bytes on the event kernel and the

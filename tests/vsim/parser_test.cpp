@@ -152,6 +152,37 @@ TEST(VsimParser, RejectsMalformedInput) {
                      "1..64");
   expect_parse_error(
       "module m;\n  wire w = 18446744073709551617'h3;\nendmodule\n", "1..64");
+  // Literal values past 64 bits are rejected instead of wrapping.
+  expect_parse_error(
+      "module m;\n  wire [63:0] w = 99999999999999999999;\nendmodule\n",
+      "64 bits");
+  expect_parse_error(
+      "module m;\n  wire [63:0] w = 64'h1_0000_0000_0000_0001;\nendmodule\n",
+      "64 bits");
+  // Register-file bounds: one past 32 bits used to wrap to a scalar, and a
+  // bound near 1e9 elements passed the parser only to exhaust memory.
+  expect_parse_error(
+      "module m;\n  reg [7:0] mem [0:4294967295];\nendmodule\n", "elements");
+  expect_parse_error(
+      "module m;\n  reg [7:0] mem [0:999999999];\nendmodule\n", "elements");
+  // Nesting is bounded: each of these used to recurse until the stack
+  // overflowed.
+  const std::string deep_parens = "module m (input wire a, output wire y);\n"
+                                  "  assign y = " +
+                                  std::string(200000, '(') + "a" +
+                                  std::string(200000, ')') + ";\nendmodule\n";
+  expect_parse_error(deep_parens, "nesting");
+  std::string deep_unary = "module m (input wire a, output wire y);\n"
+                           "  assign y = ";
+  for (int i = 0; i < 200000; ++i) deep_unary += "- ";
+  deep_unary += "a;\nendmodule\n";
+  expect_parse_error(deep_unary, "nesting");
+  std::string deep_begin = "module m;\n  reg r;\n  initial ";
+  for (int i = 0; i < 10000; ++i) deep_begin += "begin ";
+  deep_begin += "r = 1;";
+  for (int i = 0; i < 10000; ++i) deep_begin += " end";
+  deep_begin += "\nendmodule\n";
+  expect_parse_error(deep_begin, "nesting");
 }
 
 TEST(VsimParser, RejectsPartSelectOfComposite) {
